@@ -84,12 +84,13 @@ bench-smoke:
 
 # Benchmark-regression gate: measure a fresh run into BENCH_fresh.json
 # (never overwriting the committed baseline) and compare the gated
-# warm-path speedup ratios against BENCH_service.json via
-# cmd/benchdiff — ratios, not absolute ns/op, so a slower machine
-# passes but a >25% relative regression of a speedup fails.
+# warm-path speedup ratios against cmd/benchdiff/testdata/baseline.json
+# — ratios, not absolute ns/op, so a slower machine passes but a >25%
+# relative regression of a speedup fails. To move the baseline, copy a
+# BENCH_fresh.json over it and commit it.
 bench-diff:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . > BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff -old BENCH_service.json -new BENCH_fresh.json
+	$(GO) run ./cmd/benchdiff -old cmd/benchdiff/testdata/baseline.json -new BENCH_fresh.json
 
 # ci runs the ratio gate advisory (the leading `-`): benchmark noise
 # on shared runners must not block a merge, but the report still

@@ -1,12 +1,12 @@
 // Command benchdiff guards the repo's committed benchmark baseline:
 // it parses two `go test -json` benchmark streams (the committed
-// BENCH_service.json and a fresh run) and compares the gated speedup
+// cmd/benchdiff/testdata/baseline.json and a fresh run) and compares the gated speedup
 // ratios — warm-path wins the paper's serving architecture depends
 // on. A gated ratio regressing by more than -max-regress fails the
 // run with a per-ratio report; absolute ns/op are never compared, so
 // a slower CI machine does not trip the gate.
 //
-//	benchdiff -old BENCH_service.json -new BENCH_fresh.json
+//	benchdiff -old cmd/benchdiff/testdata/baseline.json -new BENCH_fresh.json
 package main
 
 import (
@@ -142,7 +142,7 @@ func compare(w *os.File, old, fresh map[string]float64, maxRegress float64) []st
 }
 
 func main() {
-	oldPath := flag.String("old", "BENCH_service.json", "committed baseline (go test -json stream)")
+	oldPath := flag.String("old", "cmd/benchdiff/testdata/baseline.json", "committed baseline (go test -json stream)")
 	newPath := flag.String("new", "BENCH_fresh.json", "fresh benchmark run (go test -json stream)")
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated fractional drop of a gated speedup ratio")
 	flag.Parse()

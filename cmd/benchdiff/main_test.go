@@ -65,7 +65,7 @@ func TestParseBenchSplitEvents(t *testing.T) {
 }
 
 func TestParseBenchCommittedBaseline(t *testing.T) {
-	res, err := parseBench(filepath.Join("..", "..", "BENCH_service.json"))
+	res, err := parseBench(filepath.Join("testdata", "baseline.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cell
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -291,19 +292,103 @@ func TestRazorCostlierThanDFF(t *testing.T) {
 	}
 }
 
-// TestDelayScalerBitIdentical locks the fast-path contract: the
-// hoisted-denominator scaler must reproduce DelayScale bit for bit
-// across the realistic Lgate range at both supplies.
+// scalerInputs returns the gate lengths the scaler contract is checked
+// on, by set: a dense sweep of the realistic range, seeded random
+// lengths over [1, 200] nm, and edge inputs on both sides of exactPow's
+// domain bounds and of the overdrive clamp.
+func scalerInputs(random int) map[string][]float64 {
+	var dense []float64
+	for i := 0; i <= 20*1024; i++ {
+		dense = append(dense, 55+float64(i)/1024)
+	}
+	rng := rand.New(rand.NewSource(12))
+	rnd := make([]float64, random)
+	for i := range rnd {
+		rnd[i] = 1 + 199*rng.Float64()
+	}
+	lnom := DefaultTech().LgateNM
+	edge := []float64{
+		0, math.Copysign(0, -1), -1, -65, -1e4, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, // subnormal lr
+		1e200, 1e300, math.MaxFloat64, // huge lr
+		400, 1e4, // long channels: the clamped overdrive of clampTech
+	}
+	for _, b := range []float64{0x1p-500, 0x1p500} {
+		lg := lnom * b
+		edge = append(edge, math.Nextafter(lg, 0), lg, math.Nextafter(lg, math.Inf(1)))
+	}
+	// Ratios whose 1.5th power is subnormal: math.Pow rounds twice
+	// there, so the fast path must not take them.
+	for i := 0; i < 4096; i++ {
+		edge = append(edge, lnom*math.Ldexp(1+rng.Float64(), -715+rng.Intn(34)))
+	}
+	return map[string][]float64{"dense": dense, "random": rnd, "edge": edge}
+}
+
+// TestDelayScalerBitIdentical locks the fast-path contract: DelayScaler
+// and DelayScalerPair reproduce DelayScale bit for bit at both supplies
+// — on the exact-power path (Alpha in (1, 1.5]) and on the math.Pow
+// fallback (the other Alphas, and inputs outside exactPow's domain).
 func TestDelayScalerBitIdentical(t *testing.T) {
-	tech := DefaultTech()
-	for _, vdd := range []float64{tech.VddLow, tech.VddHigh} {
-		scaler := tech.DelayScaler(vdd)
-		for lg := 55.0; lg <= 75.0; lg += 0.0625 {
-			want := tech.DelayScale(vdd, lg)
-			got := scaler(lg)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("vdd=%g lg=%g: scaler %v != DelayScale %v", vdd, lg, got, want)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	clampTech := DefaultTech()
+	clampTech.Vth0 = 0.995 // VddLow overdrive falls below the 0.01 clamp
+	for _, alpha := range []float64{1.0, 1.25, 1.3, 1.5, 1.7, 2.0} {
+		random := 1 << 16
+		if alpha == 1.3 {
+			random = 1 << 20 // the paper's Alpha: the Monte Carlo hot path
+		}
+		inputs := scalerInputs(random)
+		for _, base := range []Tech{DefaultTech(), clampTech} {
+			tech := base
+			tech.Alpha = alpha
+			pair := tech.DelayScalerPair()
+			lo, hi := tech.DelayScaler(tech.VddLow), tech.DelayScaler(tech.VddHigh)
+			for set, lgs := range inputs {
+				for _, lg := range lgs {
+					wantLo, wantHi := tech.DelayScale(tech.VddLow, lg), tech.DelayScale(tech.VddHigh, lg)
+					gotLo, gotHi := pair(lg)
+					if !same(lo(lg), wantLo) || !same(hi(lg), wantHi) || !same(gotLo, wantLo) || !same(gotHi, wantHi) {
+						t.Fatalf("alpha=%g vth0=%g %s lg=%v: scalers %v/%v, pair %v/%v, DelayScale %v/%v",
+							alpha, tech.Vth0, set, lg, lo(lg), hi(lg), gotLo, gotHi, wantLo, wantHi)
+					}
+				}
 			}
 		}
+	}
+}
+
+// scaleBenchInputs is a realistic spread of sampled gate lengths.
+func scaleBenchInputs() []float64 {
+	rng := rand.New(rand.NewSource(5))
+	lgs := make([]float64, 4096)
+	for i := range lgs {
+		lgs[i] = 65 * (1 + 0.03*rng.NormFloat64())
+	}
+	return lgs
+}
+
+var scaleSink float64
+
+// BenchmarkDelayScale is the reference cost per cell: three math.Pow
+// and one math.Exp.
+func BenchmarkDelayScale(b *testing.B) {
+	tech := DefaultTech()
+	lgs := scaleBenchInputs()
+	for i := 0; i < b.N; i++ {
+		scaleSink += tech.DelayScale(tech.VddLow, lgs[i&4095])
+	}
+}
+
+// BenchmarkDelayScaler is the per-cell cost of the Monte Carlo loops.
+func BenchmarkDelayScaler(b *testing.B) {
+	tech := DefaultTech()
+	scaler := tech.DelayScaler(tech.VddLow)
+	lgs := scaleBenchInputs()
+	for i := 0; i < b.N; i++ {
+		scaleSink += scaler(lgs[i&4095])
 	}
 }

@@ -3,6 +3,7 @@ package cell
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Tech bundles the technology parameters driving the paper's
@@ -94,19 +95,82 @@ func (t *Tech) DelayScale(vdd, lgateNM float64) float64 {
 	return math.Pow(lr, 1.5) * t.alphaPower(vdd, lgateNM) / t.alphaPower(t.VddLow, t.LgateNM)
 }
 
-// DelayScaler returns DelayScale at a fixed supply with the nominal
-// normalization factor hoisted out of the per-gate call. The returned
-// function computes the identical expression on identical operands in
-// the same order — ((lr^1.5 * AP(vdd,L)) / AP(VddLow,Lnom)) — so its
-// results match DelayScale bit-for-bit while halving the
-// transcendental count; Monte Carlo sample loops evaluate it per cell
-// per sample.
+// DelayScaler returns DelayScale at a fixed supply for the Monte Carlo
+// sample loops, which evaluate it per cell per sample. Its results
+// match DelayScale bit for bit: the nominal normalization factor is
+// hoisted out of the call and both powers go through exactPow, but
+// every operand and operation of DelayScale is kept, in order.
 func (t *Tech) DelayScaler(vdd float64) func(lgateNM float64) float64 {
-	denom := t.alphaPower(t.VddLow, t.LgateNM)
+	s := t.newDelayScaler()
 	return func(lgateNM float64) float64 {
-		lr := lgateNM / t.LgateNM
-		return math.Pow(lr, 1.5) * t.alphaPower(vdd, lgateNM) / denom
+		return s.at(vdd, exactPow(lgateNM/s.lnom, 0.5, 1.5), math.Exp(-s.alphaDIBL*lgateNM))
 	}
+}
+
+// DelayScalerPair is DelayScaler at both supplies at once: lo equals
+// DelayScale(VddLow, L) and hi equals DelayScale(VddHigh, L) bit for
+// bit. The gate-length power and the DIBL exponential do not depend
+// on the supply and are computed once for the pair.
+func (t *Tech) DelayScalerPair() func(lgateNM float64) (lo, hi float64) {
+	s := t.newDelayScaler()
+	vlo, vhi := t.VddLow, t.VddHigh
+	return func(lgateNM float64) (lo, hi float64) {
+		lr15 := exactPow(lgateNM/s.lnom, 0.5, 1.5)
+		dibl := math.Exp(-s.alphaDIBL * lgateNM)
+		return s.at(vlo, lr15, dibl), s.at(vhi, lr15, dibl)
+	}
+}
+
+// delayScaler is the per-Tech state of DelayScaler: the model
+// constants, the nominal normalization AP(VddLow, Lnom) and the
+// fractional part of Alpha that exactPow needs.
+type delayScaler struct {
+	vth0, alphaDIBL, lnom, alpha float64
+	alphaFrac                    float64 // exactPow's frac for Alpha; 0 when Alpha is outside (1, 1.5]
+	denom                        float64
+}
+
+func (t *Tech) newDelayScaler() delayScaler {
+	s := delayScaler{
+		vth0:      t.Vth0,
+		alphaDIBL: t.AlphaDIBL,
+		lnom:      t.LgateNM,
+		alpha:     t.Alpha,
+		denom:     t.alphaPower(t.VddLow, t.LgateNM),
+	}
+	if ai, af := math.Modf(t.Alpha); ai == 1 && af > 0 && af <= 0.5 {
+		s.alphaFrac = af
+	}
+	return s
+}
+
+// at is DelayScale(vdd, L) given lr15 = (L/Lnom)^1.5 and
+// dibl = exp(-AlphaDIBL*L): the same expression as VthEff,
+// alphaPower and DelayScale, operation for operation.
+func (s *delayScaler) at(vdd, lr15, dibl float64) float64 {
+	vth := s.vth0 - vdd*dibl
+	ov := vdd - vth
+	if ov <= 0.01 {
+		ov = 0.01 // guard: the device barely conducts
+	}
+	return lr15 * (vdd / exactPow(ov, s.alphaFrac, s.alpha)) / s.denom
+}
+
+// exactPow returns math.Pow(x, y) bit for bit, for y = 1 + frac with
+// 0 < frac <= 0.5, at about half the cost; frac = 0 marks any other y
+// and always takes math.Pow. For such y and a positive normal x,
+// math.Pow computes Ldexp(Exp(frac*Log(x)) * x1, xe) with
+// x1, xe = Frexp(x). Scaling by a power of two is exact while every
+// intermediate stays normal, so Exp(frac*Log(x)) * x rounds to the
+// same bits. The bounds on x keep x^frac, x^y and x1*x^frac normal;
+// outside them (NaN, infinities, zero, negatives, subnormals, huge
+// values) the call falls back to math.Pow. So does s390x, where
+// math.Pow is implemented in assembly.
+func exactPow(x, frac, y float64) float64 {
+	if frac != 0 && runtime.GOARCH != "s390x" && x >= 0x1p-500 && x <= 0x1p500 {
+		return math.Exp(frac*math.Log(x)) * x
+	}
+	return math.Pow(x, y)
 }
 
 // SpeedupHighVdd returns the delay ratio D(VddHigh)/D(VddLow) at

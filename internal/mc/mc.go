@@ -178,6 +178,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 		outs.stageWorst[s] = make([]int32, opts.Samples)
 	}
 
+	sampler := model.NewSampler(a.PL, pos, opts.Seed)
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -185,12 +186,12 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 		go func() {
 			defer wg.Done()
 			// Each worker owns a kernel (the SoA fast path shares the
-			// analyzer's characterized tables) plus reusable sample
-			// buffers; the cached scalers hoist the normalization
-			// constant of cell.DelayScale out of the per-cell loop,
-			// bit-for-bit equal by DelayScaler's contract.
+			// analyzer's characterized tables), a fork of the chip
+			// sampler and reusable sample buffers; the scalers equal
+			// cell.DelayScale bit for bit by DelayScaler's contract.
 			kern := sta.NewKernel(a)
 			frame := &sta.Frame{}
+			smp := sampler.Fork()
 			lg := make([]float64, nCells)
 			scale := make([]float64, nCells)
 			loScale := tech.DelayScaler(tech.VddLow)
@@ -208,8 +209,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 				if opts.hookSample != nil {
 					opts.hookSample(k)
 				}
-				rng := stats.DeriveStream(opts.Seed, fmt.Sprintf("mc/%s/%d", pos.Name, k))
-				model.SampleChipInto(lg, a.PL, pos, rng)
+				smp.Draw(k, lg)
 				for i := 0; i < nCells; i++ {
 					var s float64
 					if opts.Domains != nil && opts.Domains[i] == cell.DomainHigh {

@@ -25,7 +25,7 @@ type fixture struct {
 
 // coreFixture builds the small VEX core, places it, and applies slack
 // recovery so the stage wall resembles the paper's Fig. 3 setup.
-func coreFixture(t *testing.T) *fixture {
+func coreFixture(t testing.TB) *fixture {
 	t.Helper()
 	core, err := vex.Build(vex.SmallConfig(), cell.Default65nm())
 	if err != nil {
@@ -442,5 +442,18 @@ func TestYieldCurveEdgeCases(t *testing.T) {
 	}
 	if y[4] != 0.75 {
 		t.Fatalf("yield at 4200 = %g; want 0.75", y[4])
+	}
+}
+
+// BenchmarkRun is the per-sample cost of mc.Run on one worker: chip
+// draw, delay scaling and a kernel frame, with the fold amortized.
+func BenchmarkRun(b *testing.B) {
+	f := coreFixture(b)
+	pos := f.model.DiagonalPositions()[1]
+	b.ResetTimer()
+	if _, err := Run(context.Background(), f.a, &f.model, pos, Options{
+		Samples: max(b.N, 2), Seed: 11, ClockPS: f.clock, Derate: f.derate, Workers: 1,
+	}); err != nil {
+		b.Fatal(err)
 	}
 }

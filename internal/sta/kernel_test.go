@@ -108,6 +108,47 @@ func TestRerunMatchesFullRun(t *testing.T) {
 	}
 }
 
+// TestKernelZeroAlloc holds Run, Rerun and RunFrame to the kernel's
+// zero-allocation contract, once a frame's violator list has grown to
+// its high-water mark.
+func TestKernelZeroAlloc(t *testing.T) {
+	a := coreAnalyzer(t)
+	k := NewKernel(a)
+	n := k.NumCells()
+	rng := rand.New(rand.NewSource(17))
+	base := randScale(rng, n)
+	ov := append([]float64(nil), base...)
+	dirty := []int{0, n / 3, n / 2, n - 1}
+	for _, i := range dirty {
+		ov[i] *= 1.05
+	}
+	clock := a.Run(1e9, nil).CritPS
+	frame := &Frame{}
+	k.RunFrame(frame, clock, base)
+	k.RunFrame(frame, clock, ov)
+	flip := false
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Run", func() { k.Run(clock, base) }},
+		// Rerun follows Run's retained state; alternating the disc on
+		// and off makes every call re-time it.
+		{"Rerun", func() {
+			if flip = !flip; flip {
+				k.Rerun(clock, ov, dirty)
+			} else {
+				k.Rerun(clock, base, dirty)
+			}
+		}},
+		{"RunFrame", func() { k.RunFrame(frame, clock, base) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
+			t.Errorf("Kernel.%s allocates %v times per call", c.name, allocs)
+		}
+	}
+}
+
 // TestRerunNoChange verifies an empty dirty set (or one whose scales
 // did not actually move) returns the retained critical path unchanged.
 func TestRerunNoChange(t *testing.T) {

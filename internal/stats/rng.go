@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // Stream is a deterministic pseudo-random stream. Every stochastic
 // component of the flow draws from a named Stream derived from a
@@ -23,14 +20,33 @@ func NewStream(seed int64) *Stream {
 // The derivation hashes (seed, name) so distinct names yield distinct,
 // uncorrelated-for-our-purposes streams.
 func DeriveStream(seed int64, name string) *Stream {
-	h := fnv.New64a()
-	var b [8]byte
+	return NewStream(deriveSeed(seed, name))
+}
+
+// Rederive reseeds s in place as the stream DeriveStream(seed,
+// string(name)) and returns it. The draws that follow are identical to
+// a fresh DeriveStream's (rand.Rand.Seed fully resets the source), but
+// nothing is allocated: Monte Carlo loops rederive one stream per
+// sample.
+func (s *Stream) Rederive(seed int64, name []byte) *Stream {
+	s.r.Seed(deriveSeed(seed, name))
+	return s
+}
+
+// deriveSeed is the 64-bit FNV-1a hash of seed's eight little-endian
+// bytes followed by name.
+func deriveSeed[T string | []byte](seed int64, name T) int64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+		h ^= uint64(byte(seed >> (8 * i)))
+		h *= prime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(name))
-	return NewStream(int64(h.Sum64()))
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return int64(h)
 }
 
 // Float64 returns a uniform draw in [0,1).

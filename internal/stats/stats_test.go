@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -220,6 +222,40 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 	if !diff {
 		t.Error("derived streams with different names identical")
+	}
+}
+
+// TestRederiveMatchesDeriveStream pins the derivation to FNV-1a of
+// (seed bytes, name) — every recorded result depends on it — and proves
+// a reused, reseeded stream draws exactly what a fresh one does,
+// without allocating.
+func TestRederiveMatchesDeriveStream(t *testing.T) {
+	reused := NewStream(0)
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		for _, name := range []string{"", "mc/A/0", "mc/r3c12/65535", "place"} {
+			h := fnv.New64a()
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(seed))
+			h.Write(b[:])
+			h.Write([]byte(name))
+			ref := NewStream(int64(h.Sum64()))
+			fresh := DeriveStream(seed, name)
+			reused.Float64() // leave state behind for Rederive to clear
+			reused.Rederive(seed, []byte(name))
+			for i := 0; i < 200; i++ {
+				want := ref.NormFloat64()
+				if got := fresh.NormFloat64(); got != want {
+					t.Fatalf("DeriveStream(%d, %q) draw %d = %v, want %v", seed, name, i, got, want)
+				}
+				if got := reused.NormFloat64(); got != want {
+					t.Fatalf("Rederive(%d, %q) draw %d = %v, want %v", seed, name, i, got, want)
+				}
+			}
+		}
+	}
+	name := []byte("mc/A/12")
+	if n := testing.AllocsPerRun(20, func() { reused.Rederive(3, name) }); n != 0 {
+		t.Errorf("Rederive allocates %v times per call", n)
 	}
 }
 

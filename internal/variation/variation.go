@@ -17,6 +17,7 @@ package variation
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/place"
@@ -168,23 +169,75 @@ func (m *Model) Position(name string) (Pos, bool) {
 // combining the systematic map at each cell's physical location with
 // an independent random draw (paper Eq. 2).
 func (m *Model) SampleChip(pl *place.Placement, pos Pos, rng *stats.Stream) []float64 {
-	lg := make([]float64, pl.NL.NumCells())
-	m.SampleChipInto(lg, pl, pos, rng)
+	lg := m.systematicLgates(pl, pos)
+	sigma := m.RndSigmaNM()
+	for i := range lg {
+		lg[i] += rng.Normal(0, sigma)
+	}
 	return lg
 }
 
-// SampleChipInto is SampleChip with caller-owned storage for Monte
-// Carlo inner loops: the draw order and arithmetic are identical, so
-// a reused buffer holds the same bits a fresh SampleChip would.
-// lg must have NumCells entries.
-func (m *Model) SampleChipInto(lg []float64, pl *place.Placement, pos Pos, rng *stats.Stream) {
-	n := pl.NL.NumCells()
-	sigma := m.RndSigmaNM()
-	for i := 0; i < n; i++ {
+// systematicLgates returns the systematic Lgate of every cell of a
+// core placed at pos (paper Eq. 1).
+func (m *Model) systematicLgates(pl *place.Placement, pos Pos) []float64 {
+	sys := make([]float64, pl.NL.NumCells())
+	for i := range sys {
 		cx, cy := pl.Center(i)
-		x := pos.XMM + cx/1000 // placement is in microns
-		y := pos.YMM + cy/1000
-		lg[i] = m.SystematicLgateNM(x, y) + rng.Normal(0, sigma)
+		sys[i] = m.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000) // placement is in microns
+	}
+	return sys
+}
+
+// Sampler draws the chips of a Monte Carlo run: every sample loop of
+// the flow (mc.Run, yield.ComputeShard, vi's model checker) gets its
+// per-cell gate lengths here. Sample k of a core at position pos draws
+// from the stream DeriveStream(seed, "mc/<pos>/<k>"), so the engines
+// see the same chip for the same k and a run's statistics do not
+// depend on how its samples are split across workers or shards.
+//
+// A Sampler is not safe for concurrent use; Fork gives each worker
+// its own.
+type Sampler struct {
+	sys    []float64 // systematic Lgate per cell; read-only, shared by forks
+	sigma  float64
+	seed   int64
+	prefix int    // len("mc/<pos>/")
+	name   []byte // stream name scratch, prefix preserved
+	rng    *stats.Stream
+}
+
+// NewSampler hoists the systematic Lgate map of a core placed at pos
+// and prepares the per-sample streams under the root seed.
+func (m *Model) NewSampler(pl *place.Placement, pos Pos, seed int64) *Sampler {
+	name := append(make([]byte, 0, len(pos.Name)+24), "mc/"+pos.Name+"/"...)
+	return &Sampler{
+		sys:    m.systematicLgates(pl, pos),
+		sigma:  m.RndSigmaNM(),
+		seed:   seed,
+		prefix: len(name),
+		name:   name,
+		rng:    stats.NewStream(0),
+	}
+}
+
+// Fork returns a Sampler drawing the same chips, sharing the
+// systematic map but with its own stream state.
+func (s *Sampler) Fork() *Sampler {
+	f := *s
+	f.name = append(make([]byte, 0, cap(s.name)), s.name[:s.prefix]...)
+	f.rng = stats.NewStream(0)
+	return &f
+}
+
+// Draw fills lg (one entry per cell) with sample k's gate lengths. It
+// allocates nothing, and its bits equal SampleChip's with the stream
+// DeriveStream(seed, "mc/<pos>/<k>"): the same draws, added to the same
+// systematic values in the same order.
+func (s *Sampler) Draw(k int, lg []float64) {
+	s.name = strconv.AppendInt(s.name[:s.prefix], int64(k), 10)
+	rng := s.rng.Rederive(s.seed, s.name)
+	for i, sys := range s.sys {
+		lg[i] = sys + rng.Normal(0, s.sigma)
 	}
 }
 

@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -158,6 +159,40 @@ func TestSampleChipDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("sampling not deterministic")
 		}
+	}
+}
+
+// TestSamplerMatchesSampleChip pins the Monte Carlo draw recipe: sample
+// k of a Sampler (and of its forks, in any order) is bit for bit the
+// chip drawn cell by cell from the stream "mc/<pos>/<k>", which is
+// also what SampleChip draws from that stream.
+func TestSamplerMatchesSampleChip(t *testing.T) {
+	m := Default()
+	pl := testPlacement(t)
+	pos, _ := m.Position("B")
+	const seed = 11
+	s := m.NewSampler(pl, pos, seed)
+	fork := s.Fork()
+	lg := make([]float64, pl.NL.NumCells())
+	for _, k := range []int{0, 1, 7, 123, 65535, 2} {
+		rng := stats.DeriveStream(seed, fmt.Sprintf("mc/%s/%d", pos.Name, k))
+		want := make([]float64, len(lg))
+		for i := range want {
+			cx, cy := pl.Center(i)
+			want[i] = m.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000) + rng.Normal(0, m.RndSigmaNM())
+		}
+		chip := m.SampleChip(pl, pos, stats.DeriveStream(seed, fmt.Sprintf("mc/%s/%d", pos.Name, k)))
+		for _, smp := range []*Sampler{s, fork} {
+			smp.Draw(k, lg)
+			for i := range want {
+				if math.Float64bits(lg[i]) != math.Float64bits(want[i]) || math.Float64bits(chip[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("sample %d cell %d: Draw %v, SampleChip %v, want %v", k, i, lg[i], chip[i], want[i])
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Draw(99999, lg) }); n != 0 {
+		t.Errorf("Sampler.Draw allocates %v times per sample", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package vi
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -40,7 +39,7 @@ type modelChecker struct {
 }
 
 // buildModelChecker samples the scenario's chips exactly like mc.Run
-// (same stream derivation, same scale recipe) and extracts a
+// (the same variation.Sampler, the same scale recipe) and extracts a
 // threshold model per sample at three probe bounds spanning the
 // search interval.
 func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos variation.Pos, opts *Options, axis []float64, loBound, hiBound float64) (*modelChecker, error) {
@@ -54,6 +53,7 @@ func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Mo
 		models: make([]*tmodel.ThresholdModel, opts.Samples),
 		sigma:  opts.YieldSigma,
 	}
+	sampler := model.NewSampler(a.PL, pos, opts.Seed)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > opts.Samples {
 		workers = opts.Samples
@@ -66,19 +66,18 @@ func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Mo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			smp := sampler.Fork()
 			lg := make([]float64, nCells)
 			lo := make([]float64, nCells)
 			hi := make([]float64, nCells)
-			loScale := tech.DelayScaler(tech.VddLow)
-			hiScale := tech.DelayScaler(tech.VddHigh)
+			scale := tech.DelayScalerPair()
 			for k := range idx {
 				if ctx.Err() != nil {
 					continue
 				}
-				rng := stats.DeriveStream(opts.Seed, fmt.Sprintf("mc/%s/%d", pos.Name, k))
-				model.SampleChipInto(lg, a.PL, pos, rng)
+				smp.Draw(k, lg)
 				for i := 0; i < nCells; i++ {
-					l, h := loScale(lg[i]), hiScale(lg[i])
+					l, h := scale(lg[i])
 					if opts.Derate != nil {
 						l *= opts.Derate[i]
 						h *= opts.Derate[i]

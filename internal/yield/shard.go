@@ -2,14 +2,12 @@ package yield
 
 import (
 	"context"
-	"fmt"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
 	"vipipe/internal/obs"
 	"vipipe/internal/place"
 	"vipipe/internal/sta"
-	"vipipe/internal/stats"
 	"vipipe/internal/variation"
 )
 
@@ -52,10 +50,10 @@ type ShardInput struct {
 }
 
 // ComputeShard runs the shard's Monte Carlo samples through the
-// kernel and folds them into a ShardStat. The per-sample recipe —
-// stream derivation, gate-length draws, delay scaling, endpoint
-// arithmetic — replicates mc.Run sample for sample, so a one-shard
-// sweep reproduces mc.Run's critical-path distribution bit-for-bit.
+// kernel and folds them into a ShardStat. Chips come from the same
+// variation.Sampler and delay scaler as mc.Run, sample for sample, so
+// a one-shard sweep reproduces mc.Run's critical-path distribution
+// bit-for-bit.
 //
 // Cancellation is checked at every sample boundary; a cancelled shard
 // returns an error rather than a partial stat, because merge
@@ -76,17 +74,11 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 	span.SetAttr("shard", in.Shard)
 	span.SetAttr("samples", in.Count)
 
-	// Per-shard invariants, hoisted out of the sample loop: the
-	// systematic gate-length map at this position (the random draw
-	// adds onto it with the same float ops SampleChip uses) and the
+	// Per-shard invariants, hoisted out of the sample loop: the chip
+	// sampler (the position's systematic gate-length map) and the
 	// fixed-supply delay scaler.
-	sysNM := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cx, cy := in.PL.Center(i)
-		sysNM[i] = in.Model.SystematicLgateNM(in.Pos.XMM+cx/1000, in.Pos.YMM+cy/1000)
-	}
+	sampler := in.Model.NewSampler(in.PL, in.Pos, in.Seed)
 	scaler := in.Tech.DelayScaler(in.Tech.VddLow)
-	sigma := in.Model.RndSigmaNM()
 
 	// The overlay's dirty set: cells inside the disc, chip-local mm.
 	var dirty []int
@@ -124,10 +116,7 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 				"yield: shard %s/%d cancelled after %d/%d samples: %w",
 				in.Pos.Name, in.Shard, stat.Samples, in.Count, err)
 		}
-		rng := stats.DeriveStream(in.Seed, fmt.Sprintf("mc/%s/%d", in.Pos.Name, k))
-		for i := 0; i < n; i++ {
-			lg[i] = sysNM[i] + rng.Normal(0, sigma)
-		}
+		sampler.Draw(k, lg)
 		for i := 0; i < n; i++ {
 			s := scaler(lg[i])
 			if in.Derate != nil {
