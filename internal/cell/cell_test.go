@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -326,35 +327,128 @@ func scalerInputs(random int) map[string][]float64 {
 	return map[string][]float64{"dense": dense, "random": rnd, "edge": edge}
 }
 
-// TestDelayScalerBitIdentical locks the fast-path contract: DelayScaler
-// and DelayScalerPair reproduce DelayScale bit for bit at both supplies
-// — on the exact-power path (Alpha in (1, 1.5]) and on the math.Pow
-// fallback (the other Alphas, and inputs outside exactPow's domain).
-func TestDelayScalerBitIdentical(t *testing.T) {
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+// scalerTechs returns the technologies the scaler contracts are checked
+// on, for one Alpha: the default and one whose VddLow overdrive falls
+// below the 0.01 clamp.
+func scalerTechs(alpha float64) []Tech {
+	def, clamp := DefaultTech(), DefaultTech()
+	clamp.Vth0 = 0.995
+	def.Alpha, clamp.Alpha = alpha, alpha
+	return []Tech{def, clamp}
+}
+
+// scalerAlphas are the Alphas the scaler contracts are checked at: the
+// exact-power path (Alpha in (1, 1.5]) and the math.Pow fallback.
+var scalerAlphas = []float64{1.0, 1.25, 1.3, 1.5, 1.7, 2.0}
+
+// scalerRandom is the size of the random input set at alpha: 2^20 at
+// the paper's Alpha, the Monte Carlo hot path.
+func scalerRandom(alpha float64) int {
+	if alpha == 1.3 {
+		return 1 << 20
 	}
-	clampTech := DefaultTech()
-	clampTech.Vth0 = 0.995 // VddLow overdrive falls below the 0.01 clamp
-	for _, alpha := range []float64{1.0, 1.25, 1.3, 1.5, 1.7, 2.0} {
-		random := 1 << 16
-		if alpha == 1.3 {
-			random = 1 << 20 // the paper's Alpha: the Monte Carlo hot path
-		}
-		inputs := scalerInputs(random)
-		for _, base := range []Tech{DefaultTech(), clampTech} {
-			tech := base
-			tech.Alpha = alpha
-			pair := tech.DelayScalerPair()
+	return 1 << 16
+}
+
+// sameBits reports whether a and b are the same float64, any NaN
+// matching any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestDelayScalerBitIdentical locks the fast-path contract: DelayScaler
+// reproduces DelayScale bit for bit at both supplies — on the
+// exact-power path and on the math.Pow fallback (the other Alphas, and
+// inputs outside exactPow's domain).
+func TestDelayScalerBitIdentical(t *testing.T) {
+	for _, alpha := range scalerAlphas {
+		inputs := scalerInputs(scalerRandom(alpha))
+		for _, tech := range scalerTechs(alpha) {
 			lo, hi := tech.DelayScaler(tech.VddLow), tech.DelayScaler(tech.VddHigh)
 			for set, lgs := range inputs {
 				for _, lg := range lgs {
 					wantLo, wantHi := tech.DelayScale(tech.VddLow, lg), tech.DelayScale(tech.VddHigh, lg)
-					gotLo, gotHi := pair(lg)
-					if !same(lo(lg), wantLo) || !same(hi(lg), wantHi) || !same(gotLo, wantLo) || !same(gotHi, wantHi) {
-						t.Fatalf("alpha=%g vth0=%g %s lg=%v: scalers %v/%v, pair %v/%v, DelayScale %v/%v",
-							alpha, tech.Vth0, set, lg, lo(lg), hi(lg), gotLo, gotHi, wantLo, wantHi)
+					if !sameBits(lo(lg), wantLo) || !sameBits(hi(lg), wantHi) {
+						t.Fatalf("alpha=%g vth0=%g %s lg=%v: scalers %v/%v, DelayScale %v/%v",
+							alpha, tech.Vth0, set, lg, lo(lg), hi(lg), wantLo, wantHi)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSampleScalerBitIdentical locks the block scaler's contract: Scale
+// (with and without derate and domains) and ScalePair reproduce
+// DelayScale(vdd, lg) * derate bit for bit on every input set, every
+// checked Alpha and both technologies; they touch nothing past the
+// column and allocate nothing. The lengths exercise empty, partial,
+// exact and full-core block tilings.
+func TestSampleScalerBitIdentical(t *testing.T) {
+	lengths := []int{0, 1, 255, 256, 257, 29481}
+	const guard = -7.0 // sentinel just past every output column
+	for _, alpha := range scalerAlphas {
+		inputs := scalerInputs(scalerRandom(alpha))
+		// One column holding every set, edge inputs first, cut at
+		// each length.
+		col := append(append(append([]float64(nil), inputs["edge"]...), inputs["dense"]...), inputs["random"]...)
+		rng := rand.New(rand.NewSource(int64(alpha * 100)))
+		derate := make([]float64, len(col))
+		domains := make([]Domain, len(col))
+		for i := range col {
+			derate[i] = 0.8 + 0.4*rng.Float64()
+			domains[i] = Domain(rng.Intn(2))
+		}
+		for _, tech := range scalerTechs(alpha) {
+			sc := tech.SampleScaler()
+			// Reference columns: at VddLow, at VddHigh, and per domain.
+			wantLo := make([]float64, len(col))
+			wantHi := make([]float64, len(col))
+			wantDom := make([]float64, len(col))
+			for i, lg := range col {
+				wantLo[i], wantHi[i] = tech.DelayScale(tech.VddLow, lg), tech.DelayScale(tech.VddHigh, lg)
+				wantDom[i] = tech.DelayScale(tech.Vdd(domains[i]), lg)
+			}
+			out := make([]float64, len(col)+1)
+			hi := make([]float64, len(col)+1)
+			for _, n := range append(lengths, len(col)) {
+				lg := col[:n]
+				check := func(call string, got, ref, d []float64) {
+					t.Helper()
+					for i := 0; i < n; i++ {
+						w := ref[i]
+						if d != nil {
+							w *= d[i]
+						}
+						if !sameBits(got[i], w) {
+							t.Fatalf("alpha=%g vth0=%g n=%d %s cell %d lg=%v: got %v, want %v",
+								alpha, tech.Vth0, n, call, i, col[i], got[i], w)
+						}
+					}
+					if got[n] != guard {
+						t.Fatalf("alpha=%g n=%d %s wrote past the column", alpha, n, call)
+					}
+				}
+				for _, d := range [][]float64{nil, derate[:n]} {
+					name := fmt.Sprintf("derate=%t", d != nil)
+					out[n] = guard
+					sc.Scale(out, lg, d, nil)
+					check("Scale "+name, out, wantLo, d)
+					sc.Scale(out, lg, d, domains[:n])
+					check("Scale domains "+name, out, wantDom, d)
+					hi[n] = guard
+					sc.ScalePair(out, hi, lg, d)
+					check("ScalePair lo "+name, out, wantLo, d)
+					check("ScalePair hi "+name, hi, wantHi, d)
+				}
+			}
+			n := 29481
+			for name, fn := range map[string]func(){
+				"Scale":     func() { sc.Scale(out, col[:n], derate[:n], domains[:n]) },
+				"ScalePair": func() { sc.ScalePair(out, hi, col[:n], derate[:n]) },
+			} {
+				if allocs := testing.AllocsPerRun(5, fn); allocs != 0 {
+					t.Errorf("SampleScaler.%s allocates %v times per call", name, allocs)
 				}
 			}
 		}
@@ -383,7 +477,7 @@ func BenchmarkDelayScale(b *testing.B) {
 	}
 }
 
-// BenchmarkDelayScaler is the per-cell cost of the Monte Carlo loops.
+// BenchmarkDelayScaler is the per-cell cost of a cell-at-a-time loop.
 func BenchmarkDelayScaler(b *testing.B) {
 	tech := DefaultTech()
 	scaler := tech.DelayScaler(tech.VddLow)
@@ -391,4 +485,22 @@ func BenchmarkDelayScaler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scaleSink += scaler(lgs[i&4095])
 	}
+}
+
+// BenchmarkSampleScaler is the per-cell cost of the Monte Carlo loops:
+// Scale over a full-core column of 29,481 cells, reported as ns/cell.
+func BenchmarkSampleScaler(b *testing.B) {
+	tech := DefaultTech()
+	sc := tech.SampleScaler()
+	lgs := scaleBenchInputs()
+	col := make([]float64, 29481)
+	for i := range col {
+		col[i] = lgs[i&4095]
+	}
+	out := make([]float64, len(col))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Scale(out, col, nil, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/cell")
 }

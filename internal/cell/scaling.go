@@ -95,35 +95,149 @@ func (t *Tech) DelayScale(vdd, lgateNM float64) float64 {
 	return math.Pow(lr, 1.5) * t.alphaPower(vdd, lgateNM) / t.alphaPower(t.VddLow, t.LgateNM)
 }
 
-// DelayScaler returns DelayScale at a fixed supply for the Monte Carlo
-// sample loops, which evaluate it per cell per sample. Its results
-// match DelayScale bit for bit: the nominal normalization factor is
-// hoisted out of the call and both powers go through exactPow, but
-// every operand and operation of DelayScale is kept, in order.
+// DelayScaler returns DelayScale at a fixed supply for per-cell
+// callers. Its results match DelayScale bit for bit: the nominal
+// normalization factor is hoisted out of the call and both powers go
+// through exactPow, but every operand and operation of DelayScale is
+// kept, in order. Loops over a whole sample use SampleScaler.
 func (t *Tech) DelayScaler(vdd float64) func(lgateNM float64) float64 {
 	s := t.newDelayScaler()
 	return func(lgateNM float64) float64 {
-		return s.at(vdd, exactPow(lgateNM/s.lnom, 0.5, 1.5), math.Exp(-s.alphaDIBL*lgateNM))
+		return s.at(vdd, exactPow(s.ratio(lgateNM), 0.5, 1.5), s.dibl(lgateNM))
 	}
 }
 
-// DelayScalerPair is DelayScaler at both supplies at once: lo equals
-// DelayScale(VddLow, L) and hi equals DelayScale(VddHigh, L) bit for
-// bit. The gate-length power and the DIBL exponential do not depend
-// on the supply and are computed once for the pair.
-func (t *Tech) DelayScalerPair() func(lgateNM float64) (lo, hi float64) {
-	s := t.newDelayScaler()
-	vlo, vhi := t.VddLow, t.VddHigh
-	return func(lgateNM float64) (lo, hi float64) {
-		lr15 := exactPow(lgateNM/s.lnom, 0.5, 1.5)
-		dibl := math.Exp(-s.alphaDIBL * lgateNM)
-		return s.at(vlo, lr15, dibl), s.at(vhi, lr15, dibl)
+// sampleBlock is the number of cells one SampleScaler pass covers:
+// enough independent calls per pass to keep the CPU busy, while a
+// block's scratch stays a few KiB of stack.
+const sampleBlock = 256
+
+// SampleScaler is DelayScale over a whole column of cells, for the
+// Monte Carlo loops that scale every cell of every sampled chip. Each
+// result equals DelayScale bit for bit, and a call allocates nothing.
+//
+// Per cell, DelayScale is one serial chain of Log and Exp calls, so a
+// cell-at-a-time loop waits on each call's latency. SampleScaler runs
+// the same calls on the same operands, but stage by stage over a block
+// of cells, so the calls of neighbouring cells overlap. It is safe for
+// concurrent use.
+type SampleScaler struct {
+	s        delayScaler
+	vlo, vhi float64
+}
+
+// SampleScaler returns the block scaler of the technology.
+func (t *Tech) SampleScaler() SampleScaler {
+	return SampleScaler{s: t.newDelayScaler(), vlo: t.VddLow, vhi: t.VddHigh}
+}
+
+// Scale sets out[i] = DelayScale(Vdd(domains[i]), lg[i]) * derate[i]
+// for every cell of lg. Nil domains puts every cell at VddLow; nil
+// derate multiplies by nothing. out must be at least as long as lg.
+func (sc *SampleScaler) Scale(out, lg, derate []float64, domains []Domain) {
+	for lo := 0; lo < len(lg); lo += sampleBlock {
+		hi := min(lo+sampleBlock, len(lg))
+		var d []float64
+		if derate != nil {
+			d = derate[lo:hi]
+		}
+		var dom []Domain
+		if domains != nil {
+			dom = domains[lo:hi]
+		}
+		sc.scaleBlock(out[lo:hi], lg[lo:hi], d, dom)
 	}
 }
 
-// delayScaler is the per-Tech state of DelayScaler: the model
-// constants, the nominal normalization AP(VddLow, Lnom) and the
-// fractional part of Alpha that exactPow needs.
+// ScalePair is Scale at both supplies: lo[i] and hi[i] are the cell's
+// delay factors at VddLow and VddHigh. The gate-length power and the
+// DIBL exponential do not depend on the supply and are computed once.
+func (sc *SampleScaler) ScalePair(lo, hi, lg, derate []float64) {
+	for b := 0; b < len(lg); b += sampleBlock {
+		e := min(b+sampleBlock, len(lg))
+		var d []float64
+		if derate != nil {
+			d = derate[b:e]
+		}
+		sc.pairBlock(lo[b:e], hi[b:e], lg[b:e], d)
+	}
+}
+
+// vdd is the supply of cell i of a block.
+func (sc *SampleScaler) vdd(domains []Domain, i int) float64 {
+	if domains != nil && domains[i] == DomainHigh {
+		return sc.vhi
+	}
+	return sc.vlo
+}
+
+// gateTerms runs the two supply-independent passes over a block: on
+// return lr15[i] = (lg[i]/Lnom)^1.5 and dibl[i] = exp(-AlphaDIBL*lg[i]).
+func (sc *SampleScaler) gateTerms(lg []float64, lr15, dibl *[sampleBlock]float64) {
+	s := &sc.s
+	for i, l := range lg {
+		r := s.ratio(l)
+		lr15[i] = r
+		if powDomain(r, 0.5) {
+			dibl[i] = math.Log(r)
+		}
+	}
+	for i, l := range lg {
+		lr15[i] = powFinish(lr15[i], 0.5, 1.5, dibl[i])
+		dibl[i] = s.dibl(l)
+	}
+}
+
+// scaleBlock is Scale over at most sampleBlock cells.
+func (sc *SampleScaler) scaleBlock(out, lg, derate []float64, domains []Domain) {
+	var lr15, aux, ov [sampleBlock]float64
+	s := &sc.s
+	sc.gateTerms(lg, &lr15, &aux)
+	for i := range lg {
+		o := s.overdrive(sc.vdd(domains, i), aux[i])
+		ov[i] = o
+		if powDomain(o, s.alphaFrac) {
+			aux[i] = math.Log(o)
+		}
+	}
+	for i := range lg {
+		x := s.finish(sc.vdd(domains, i), lr15[i], powFinish(ov[i], s.alphaFrac, s.alpha, aux[i]))
+		if derate != nil {
+			x *= derate[i]
+		}
+		out[i] = x
+	}
+}
+
+// pairBlock is ScalePair over at most sampleBlock cells.
+func (sc *SampleScaler) pairBlock(lo, hi, lg, derate []float64) {
+	var lr15, dibl, ovLo, ovHi, logLo, logHi [sampleBlock]float64
+	s := &sc.s
+	sc.gateTerms(lg, &lr15, &dibl)
+	for i := range lg {
+		ol, oh := s.overdrive(sc.vlo, dibl[i]), s.overdrive(sc.vhi, dibl[i])
+		ovLo[i], ovHi[i] = ol, oh
+		if powDomain(ol, s.alphaFrac) {
+			logLo[i] = math.Log(ol)
+		}
+		if powDomain(oh, s.alphaFrac) {
+			logHi[i] = math.Log(oh)
+		}
+	}
+	for i := range lg {
+		l := s.finish(sc.vlo, lr15[i], powFinish(ovLo[i], s.alphaFrac, s.alpha, logLo[i]))
+		h := s.finish(sc.vhi, lr15[i], powFinish(ovHi[i], s.alphaFrac, s.alpha, logHi[i]))
+		if derate != nil {
+			l *= derate[i]
+			h *= derate[i]
+		}
+		lo[i], hi[i] = l, h
+	}
+}
+
+// delayScaler is the per-Tech state of DelayScaler and SampleScaler:
+// the model constants, the nominal normalization AP(VddLow, Lnom) and
+// the fractional part of Alpha that exactPow needs.
 type delayScaler struct {
 	vth0, alphaDIBL, lnom, alpha float64
 	alphaFrac                    float64 // exactPow's frac for Alpha; 0 when Alpha is outside (1, 1.5]
@@ -144,16 +258,37 @@ func (t *Tech) newDelayScaler() delayScaler {
 	return s
 }
 
-// at is DelayScale(vdd, L) given lr15 = (L/Lnom)^1.5 and
-// dibl = exp(-AlphaDIBL*L): the same expression as VthEff,
-// alphaPower and DelayScale, operation for operation.
-func (s *delayScaler) at(vdd, lr15, dibl float64) float64 {
+// The helpers below are DelayScale's expressions, split where the
+// block passes of SampleScaler store an intermediate. A float64 stored
+// and reloaded keeps its bits, so the split changes no result.
+
+// ratio is L/Lnom.
+func (s *delayScaler) ratio(lgateNM float64) float64 { return lgateNM / s.lnom }
+
+// dibl is exp(-AlphaDIBL*L), the DIBL term of VthEff.
+func (s *delayScaler) dibl(lgateNM float64) float64 { return math.Exp(-s.alphaDIBL * lgateNM) }
+
+// overdrive is alphaPower's clamped Vdd - VthEff given dibl.
+func (s *delayScaler) overdrive(vdd, dibl float64) float64 {
 	vth := s.vth0 - vdd*dibl
 	ov := vdd - vth
 	if ov <= 0.01 {
 		ov = 0.01 // guard: the device barely conducts
 	}
-	return lr15 * (vdd / exactPow(ov, s.alphaFrac, s.alpha)) / s.denom
+	return ov
+}
+
+// finish is DelayScale's product given lr15 = (L/Lnom)^1.5 and the
+// overdrive power p = ov^Alpha.
+func (s *delayScaler) finish(vdd, lr15, p float64) float64 {
+	return lr15 * (vdd / p) / s.denom
+}
+
+// at is DelayScale(vdd, L) given lr15 = (L/Lnom)^1.5 and
+// dibl = exp(-AlphaDIBL*L): the same expression as VthEff,
+// alphaPower and DelayScale, operation for operation.
+func (s *delayScaler) at(vdd, lr15, dibl float64) float64 {
+	return s.finish(vdd, lr15, exactPow(s.overdrive(vdd, dibl), s.alphaFrac, s.alpha))
 }
 
 // exactPow returns math.Pow(x, y) bit for bit, for y = 1 + frac with
@@ -167,8 +302,26 @@ func (s *delayScaler) at(vdd, lr15, dibl float64) float64 {
 // values) the call falls back to math.Pow. So does s390x, where
 // math.Pow is implemented in assembly.
 func exactPow(x, frac, y float64) float64 {
-	if frac != 0 && runtime.GOARCH != "s390x" && x >= 0x1p-500 && x <= 0x1p500 {
-		return math.Exp(frac*math.Log(x)) * x
+	if powDomain(x, frac) {
+		return expPow(x, frac, math.Log(x))
+	}
+	return math.Pow(x, y)
+}
+
+// powDomain reports whether exactPow(x, frac, y) takes the Exp/Log
+// path, which needs math.Log(x).
+func powDomain(x, frac float64) bool {
+	return frac != 0 && runtime.GOARCH != "s390x" && x >= 0x1p-500 && x <= 0x1p500
+}
+
+// expPow is exactPow's Exp/Log path given logx = math.Log(x).
+func expPow(x, frac, logx float64) float64 { return math.Exp(frac*logx) * x }
+
+// powFinish is exactPow given logx = math.Log(x) when powDomain holds
+// (logx is ignored otherwise).
+func powFinish(x, frac, y, logx float64) float64 {
+	if powDomain(x, frac) {
+		return expPow(x, frac, logx)
 	}
 	return math.Pow(x, y)
 }

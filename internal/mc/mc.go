@@ -187,15 +187,14 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 			defer wg.Done()
 			// Each worker owns a kernel (the SoA fast path shares the
 			// analyzer's characterized tables), a fork of the chip
-			// sampler and reusable sample buffers; the scalers equal
-			// cell.DelayScale bit for bit by DelayScaler's contract.
+			// sampler and reusable sample buffers; the scaler equals
+			// cell.DelayScale bit for bit by SampleScaler's contract.
 			kern := sta.NewKernel(a)
 			frame := &sta.Frame{}
 			smp := sampler.Fork()
 			lg := make([]float64, nCells)
 			scale := make([]float64, nCells)
-			loScale := tech.DelayScaler(tech.VddLow)
-			hiScale := tech.DelayScaler(tech.VddHigh)
+			scaler := tech.SampleScaler()
 			// sample is split out so a recovered panic discards one
 			// chip instance, not the worker's whole queue.
 			sample := func(k int) {
@@ -210,18 +209,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 					opts.hookSample(k)
 				}
 				smp.Draw(k, lg)
-				for i := 0; i < nCells; i++ {
-					var s float64
-					if opts.Domains != nil && opts.Domains[i] == cell.DomainHigh {
-						s = hiScale(lg[i])
-					} else {
-						s = loScale(lg[i])
-					}
-					if opts.Derate != nil {
-						s *= opts.Derate[i]
-					}
-					scale[i] = s
-				}
+				scaler.Scale(scale, lg, opts.Derate, opts.Domains)
 				kern.RunFrame(frame, opts.ClockPS, scale)
 				outs.crit[k] = frame.CritPS
 				mask := uint8(0)

@@ -13,7 +13,7 @@ import (
 // coreAnalyzer builds the small VEX core — reconvergent comb logic,
 // several pipe stages, tie cells — the shape that exercises every
 // kernel branch.
-func coreAnalyzer(t *testing.T) *Analyzer {
+func coreAnalyzer(t testing.TB) *Analyzer {
 	t.Helper()
 	core, err := vex.Build(vex.SmallConfig(), cell.Default65nm())
 	if err != nil {
@@ -145,6 +145,67 @@ func TestKernelZeroAlloc(t *testing.T) {
 	} {
 		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
 			t.Errorf("Kernel.%s allocates %v times per call", c.name, allocs)
+		}
+	}
+}
+
+// kernelBench is the state the kernel benchmarks share: a kernel over
+// the small core, a random scale vector, the same vector with a
+// four-cell disc perturbed, and a clock at the nominal critical path.
+type kernelBench struct {
+	k        *Kernel
+	base, ov []float64
+	dirty    []int
+	clock    float64
+}
+
+func newKernelBench(b *testing.B) *kernelBench {
+	a := coreAnalyzer(b)
+	k := NewKernel(a)
+	n := k.NumCells()
+	base := randScale(rand.New(rand.NewSource(17)), n)
+	ov := append([]float64(nil), base...)
+	dirty := []int{0, n / 3, n / 2, n - 1}
+	for _, i := range dirty {
+		ov[i] *= 1.05
+	}
+	return &kernelBench{k: k, base: base, ov: ov, dirty: dirty, clock: a.Run(1e9, nil).CritPS}
+}
+
+// BenchmarkKernelRun is one full propagation and critical-path
+// reduction: the per-sample kernel cost of a yield shard.
+func BenchmarkKernelRun(b *testing.B) {
+	kb := newKernelBench(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kb.k.Run(kb.clock, kb.base)
+	}
+}
+
+// BenchmarkKernelRunFrame is one full propagation with the per-stage
+// endpoint frame: the per-sample kernel cost of mc.Run.
+func BenchmarkKernelRunFrame(b *testing.B) {
+	kb := newKernelBench(b)
+	frame := &Frame{}
+	kb.k.RunFrame(frame, kb.clock, kb.base)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kb.k.RunFrame(frame, kb.clock, kb.base)
+	}
+}
+
+// BenchmarkKernelRerun is one incremental re-time of a four-cell disc,
+// alternated on and off so every call re-times it: the overlay cost of
+// a yield shard sample.
+func BenchmarkKernelRerun(b *testing.B) {
+	kb := newKernelBench(b)
+	kb.k.Run(kb.clock, kb.base)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			kb.k.Rerun(kb.clock, kb.ov, kb.dirty)
+		} else {
+			kb.k.Rerun(kb.clock, kb.base, kb.dirty)
 		}
 	}
 }

@@ -241,21 +241,6 @@ func (s *Sampler) Draw(k int, lg []float64) {
 	}
 }
 
-// DelayScales converts per-cell gate lengths and supply domains into
-// the per-instance delay factors consumed by the timing engine
-// (paper Eq. 3 via cell.Tech).
-func DelayScales(tech *cell.Tech, lgateNM []float64, domains []cell.Domain) []float64 {
-	out := make([]float64, len(lgateNM))
-	for i, lg := range lgateNM {
-		vdd := tech.VddLow
-		if domains != nil && domains[i] == cell.DomainHigh {
-			vdd = tech.VddHigh
-		}
-		out[i] = tech.DelayScale(vdd, lg)
-	}
-	return out
-}
-
 // LeakScales converts per-cell gate lengths and domains into leakage
 // multipliers relative to nominal (paper Eq. 4 through cell.Tech).
 func LeakScales(tech *cell.Tech, lgateNM []float64, domains []cell.Domain) []float64 {

@@ -200,14 +200,17 @@ func TestDelayAndLeakScales(t *testing.T) {
 	tech := cell.DefaultTech()
 	lg := []float64{65, 70, 60}
 	doms := []cell.Domain{cell.DomainLow, cell.DomainLow, cell.DomainHigh}
-	ds := DelayScales(&tech, lg, nil)
+	scaler := tech.SampleScaler()
+	ds := make([]float64, len(lg))
+	scaler.Scale(ds, lg, nil, nil)
 	if math.Abs(ds[0]-1) > 1e-12 {
 		t.Errorf("nominal scale %g", ds[0])
 	}
 	if ds[1] <= 1 || ds[2] >= 1 {
 		t.Errorf("scale direction wrong: %v", ds)
 	}
-	dsD := DelayScales(&tech, lg, doms)
+	dsD := make([]float64, len(lg))
+	scaler.Scale(dsD, lg, nil, doms)
 	// High-Vdd domain cell must be faster than the same cell at low
 	// Vdd.
 	if dsD[2] >= ds[2] {

@@ -70,20 +70,13 @@ func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Mo
 			lg := make([]float64, nCells)
 			lo := make([]float64, nCells)
 			hi := make([]float64, nCells)
-			scale := tech.DelayScalerPair()
+			scaler := tech.SampleScaler()
 			for k := range idx {
 				if ctx.Err() != nil {
 					continue
 				}
 				smp.Draw(k, lg)
-				for i := 0; i < nCells; i++ {
-					l, h := scale(lg[i])
-					if opts.Derate != nil {
-						l *= opts.Derate[i]
-						h *= opts.Derate[i]
-					}
-					lo[i], hi[i] = l, h
-				}
+				scaler.ScalePair(lo, hi, lg, opts.Derate)
 				tm, err := tmodel.ExtractThreshold(tmodel.ThresholdInput{
 					View:    view,
 					ClockPS: opts.ClockPS,
@@ -104,12 +97,7 @@ func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Mo
 			}
 		}()
 	}
-	for k := 0; k < opts.Samples; k++ {
-		select {
-		case idx <- k:
-		case <-ctx.Done():
-		}
-	}
+	dispatch(ctx, idx, opts.Samples)
 	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -119,6 +107,19 @@ func buildModelChecker(ctx context.Context, a *sta.Analyzer, model *variation.Mo
 		return nil, firstErr
 	}
 	return ck, nil
+}
+
+// dispatch hands the sample indices 0..n-1 to the workers on idx until
+// ctx is done, and returns how many it handed out.
+func dispatch(ctx context.Context, idx chan<- int, n int) int {
+	for k := 0; k < n; k++ {
+		select {
+		case idx <- k:
+		case <-ctx.Done():
+			return k
+		}
+	}
+	return n
 }
 
 // meets applies the same per-stage yield decision as the exact path —

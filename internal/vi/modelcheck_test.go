@@ -2,6 +2,7 @@ package vi
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -52,6 +53,37 @@ func TestModelCheckMatchesExactPartition(t *testing.T) {
 				t.Fatalf("identical boundaries but region maps diverge at cell %d", i)
 			}
 		}
+	}
+}
+
+// TestBuildModelCheckerPreCancelled checks that a cancelled context
+// stops the model checker's sample dispatch: the build returns the
+// context's error, and dispatch gives up as soon as it sees Done
+// instead of walking every remaining sample index.
+func TestBuildModelCheckerPreCancelled(t *testing.T) {
+	f := newFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := Options{ClockPS: f.clock, Derate: f.derate, Seed: 9}
+	opts.setDefaults()
+	axis := make([]float64, f.core.NL.NumCells())
+	ck, err := buildModelChecker(ctx, f.a, &f.model, f.scenarioPositions()[0], &opts, axis, 0, f.pl.DieW)
+	if !errors.Is(err, context.Canceled) || ck != nil {
+		t.Fatalf("pre-cancelled build returned (%v, %v), want context.Canceled", ck, err)
+	}
+
+	// With a receiver always ready, select picks between the send and
+	// Done at random, so a dispatch that stops at Done hands out a few
+	// indices at most; one that kept looping would hand out all of them.
+	idx := make(chan int)
+	go func() {
+		for range idx {
+		}
+	}()
+	sent := dispatch(ctx, idx, 1<<20)
+	close(idx)
+	if sent > 64 {
+		t.Fatalf("dispatch handed out %d samples after cancellation", sent)
 	}
 }
 

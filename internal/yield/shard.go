@@ -76,12 +76,15 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 
 	// Per-shard invariants, hoisted out of the sample loop: the chip
 	// sampler (the position's systematic gate-length map) and the
-	// fixed-supply delay scaler.
+	// block delay scaler.
 	sampler := in.Model.NewSampler(in.PL, in.Pos, in.Seed)
-	scaler := in.Tech.DelayScaler(in.Tech.VddLow)
+	scaler := in.Tech.SampleScaler()
 
 	// The overlay's dirty set: cells inside the disc, chip-local mm.
+	// Their perturbed gate lengths, derates and scales are gathered
+	// into columns of their own so one Scale call covers them.
 	var dirty []int
+	var dirtyLg, dirtyDerate, dirtyScale []float64
 	deltaNM := 0.0
 	if in.Overlay != nil {
 		deltaNM = in.Model.LnomNM * in.Overlay.DeltaFrac
@@ -95,6 +98,14 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 			}
 		}
 		span.SetAttr("overlay_cells", len(dirty))
+		dirtyLg = make([]float64, len(dirty))
+		dirtyScale = make([]float64, len(dirty))
+		if in.Derate != nil {
+			dirtyDerate = make([]float64, len(dirty))
+			for j, i := range dirty {
+				dirtyDerate[j] = in.Derate[i]
+			}
+		}
 	}
 
 	stat := &ShardStat{
@@ -117,25 +128,19 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 				in.Pos.Name, in.Shard, stat.Samples, in.Count, err)
 		}
 		sampler.Draw(k, lg)
-		for i := 0; i < n; i++ {
-			s := scaler(lg[i])
-			if in.Derate != nil {
-				s *= in.Derate[i]
-			}
-			scale[i] = s
-		}
+		scaler.Scale(scale, lg, in.Derate, nil)
 		crit := in.Kernel.Run(in.ClockPS, scale)
 		stat.Samples++
 		stat.Crit.Observe(crit)
 		stat.Hist.Observe(crit)
 
 		if len(dirty) > 0 || (in.Overlay != nil && deltaNM == 0) {
-			for _, i := range dirty {
-				s := scaler(lg[i] + deltaNM)
-				if in.Derate != nil {
-					s *= in.Derate[i]
-				}
-				scale[i] = s
+			for j, i := range dirty {
+				dirtyLg[j] = lg[i] + deltaNM
+			}
+			scaler.Scale(dirtyScale, dirtyLg, dirtyDerate, nil)
+			for j, i := range dirty {
+				scale[i] = dirtyScale[j]
 			}
 			ovCrit := in.Kernel.Rerun(in.ClockPS, scale, dirty)
 			stat.OvCrit.Observe(ovCrit)

@@ -116,36 +116,28 @@ func exactWhatIf(cfg Config, tm *Timing, part *vi.Partition, pos variation.Pos, 
 	nl, pl := a.NL, a.PL
 	n := nl.NumCells()
 	lg := systematicLgate(cfg.Model, nl, pl, pos)
-	tech := &nl.Lib.Tech
-	loScale := tech.DelayScaler(tech.VddLow)
-	hiScale := tech.DelayScaler(tech.VddHigh)
 	var deltaNM, r2 float64
 	if q.Overlay != nil {
 		deltaNM = cfg.Model.LnomNM * q.Overlay.DeltaFrac
 		r2 = q.Overlay.RMM * q.Overlay.RMM
 	}
-	scale := make([]float64, n)
+	domains := make([]cell.Domain, n)
 	for i := 0; i < n; i++ {
-		lgi := lg[i]
 		if q.Overlay != nil {
 			cx, cy := pl.Center(i)
 			dx := cx/1000 - q.Overlay.XMM
 			dy := cy/1000 - q.Overlay.YMM
 			if dx*dx+dy*dy <= r2 {
-				lgi += deltaNM
+				lg[i] += deltaNM
 			}
 		}
-		var s float64
 		if int(part.Region[i]) <= q.Raise {
-			s = hiScale(lgi)
-		} else {
-			s = loScale(lgi)
+			domains[i] = cell.DomainHigh
 		}
-		if tm.Derate != nil {
-			s *= tm.Derate[i]
-		}
-		scale[i] = s
 	}
+	scale := make([]float64, n)
+	scaler := nl.Lib.Tech.SampleScaler()
+	scaler.Scale(scale, lg, tm.Derate, domains)
 	kern := sta.NewKernel(a)
 	frame := &sta.Frame{}
 	kern.RunFrame(frame, tm.ClockPS, scale)
