@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -379,7 +380,7 @@ func TestDelayScalerBitIdentical(t *testing.T) {
 }
 
 // TestSampleScalerBitIdentical locks the block scaler's contract: Scale
-// (with and without derate and domains) and ScalePair reproduce
+// (with and without derate and domains), ScaleCells and ScalePair reproduce
 // DelayScale(vdd, lg) * derate bit for bit on every input set, every
 // checked Alpha and both technologies; they touch nothing past the
 // column and allocate nothing. The lengths exercise empty, partial,
@@ -441,16 +442,147 @@ func TestSampleScalerBitIdentical(t *testing.T) {
 					check("ScalePair lo "+name, out, wantLo, d)
 					check("ScalePair hi "+name, hi, wantHi, d)
 				}
+				// ScaleCells over the first n cells in reverse: out[j]
+				// is cell n-1-j's scale.
+				cells := make([]int32, n)
+				for j := range cells {
+					cells[j] = int32(n - 1 - j)
+				}
+				sc.ScaleCells(out, cells, col, derate, domains)
+				for j, c := range cells {
+					if w := wantDom[c] * derate[c]; !sameBits(out[j], w) {
+						t.Fatalf("alpha=%g n=%d ScaleCells cell %d: got %v, want %v", alpha, n, c, out[j], w)
+					}
+				}
 			}
 			n := 29481
 			for name, fn := range map[string]func(){
 				"Scale":     func() { sc.Scale(out, col[:n], derate[:n], domains[:n]) },
 				"ScalePair": func() { sc.ScalePair(out, hi, col[:n], derate[:n]) },
+				"ScaleCells": func() {
+					sc.ScaleCells(out, []int32{0, int32(n - 1), int32(n / 2)}, col, derate, domains)
+				},
 			} {
 				if allocs := testing.AllocsPerRun(5, fn); allocs != 0 {
 					t.Errorf("SampleScaler.%s allocates %v times per call", name, allocs)
 				}
 			}
+		}
+	}
+}
+
+// TestScaleBoundsEnclose locks the bracket contract: lo <= exact <= hi
+// for every cell, where exact is SampleScaler.Scale's value, on every
+// scaler input set plus the table's grid points and their neighbours,
+// every checked Alpha and both technologies, derates nil, random in
+// [1, 12], 0, -1 and NaN, and nil or mixed domains. A tabulated
+// bracket keeps one grid step of gate length as slack on each side:
+// lo <= exact(L - step) and exact(L + step) <= hi, the margin that
+// absorbs the rounding of the exact chain. A cell outside the
+// table, with a non-finite gate length or with a bad derate gets lo, hi
+// and exact with equal bits; so does every cell of a Tech whose scale
+// need not grow with L, or whose table is not increasing. Bracket
+// allocates nothing.
+func TestScaleBoundsEnclose(t *testing.T) {
+	lnom := DefaultTech().LgateNM
+	var grid []float64
+	for l := boundLo * lnom; l <= boundHi*lnom; l += boundStep {
+		grid = append(grid, l, math.Nextafter(l, 0), math.Nextafter(l, math.Inf(1)),
+			math.Nextafter(math.Nextafter(l, 0), 0), math.Nextafter(math.Nextafter(l, math.Inf(1)), math.Inf(1)))
+	}
+	for _, alpha := range scalerAlphas {
+		inputs := scalerInputs(1 << 12)
+		col := append(append(append(append([]float64(nil), inputs["edge"]...), inputs["dense"]...), inputs["random"]...), grid...)
+		n := len(col)
+		rng := rand.New(rand.NewSource(int64(alpha * 1000)))
+		domains := make([]Domain, n)
+		for i := range domains {
+			domains[i] = Domain(rng.Intn(2))
+		}
+		derates := map[string][]float64{"nil": nil}
+		for name, fill := range map[string]func() float64{
+			"random": func() float64 { return 1 + 11*rng.Float64() },
+			"zero":   func() float64 { return 0 },
+			"minus1": func() float64 { return -1 },
+			"nan":    math.NaN,
+		} {
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = fill()
+			}
+			derates[name] = d
+		}
+		techs := scalerTechs(alpha)
+		dibl, nan := DefaultTech(), DefaultTech()
+		dibl.Alpha, nan.Alpha = alpha, alpha
+		dibl.AlphaDIBL = -0.15
+		nan.Vth0 = math.NaN()
+		techs = append(techs, dibl, nan)
+		exact, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		below, above := make([]float64, n), make([]float64, n)
+		colBelow, colAbove := make([]float64, n), make([]float64, n)
+		for i, l := range col {
+			colBelow[i], colAbove[i] = l-boundStep, l+boundStep
+		}
+		for ti, tech := range techs {
+			sc, b := tech.SampleScaler(), tech.ScaleBounds()
+			if tabulated := b.lim > 0; tabulated != (ti < 2) {
+				t.Fatalf("alpha=%g tech %d: tabulated=%t", alpha, ti, tabulated)
+			}
+			for dname, d := range derates {
+				for _, dom := range [][]Domain{nil, domains} {
+					sc.Scale(exact, col, d, dom)
+					sc.Scale(below, colBelow, d, dom)
+					sc.Scale(above, colAbove, d, dom)
+					b.Bracket(lo, hi, col, d, dom)
+					for i, l := range col {
+						di := 1.0
+						if d != nil {
+							di = d[i]
+						}
+						x := (l - b.l0) / boundStep
+						inTable := x >= 1 && x < b.lim && di >= 0 && !math.IsInf(di, 1)
+						ok := lo[i] <= below[i] && below[i] <= exact[i] && exact[i] <= above[i] && above[i] <= hi[i]
+						if !inTable {
+							ok = sameBits(lo[i], exact[i]) && sameBits(hi[i], exact[i])
+						}
+						if !ok {
+							t.Fatalf("alpha=%g tech %d derate=%s domains=%t lg=%v: bracket [%v, %v], exact %v, one step off %v/%v (in table: %t)",
+								alpha, ti, dname, dom != nil, l, lo[i], hi[i], exact[i], below[i], above[i], inTable)
+						}
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, func() { b.Bracket(lo, hi, col, derates["random"], domains) }); allocs != 0 {
+				t.Errorf("ScaleBounds.Bracket allocates %v times per call", allocs)
+			}
+		}
+	}
+}
+
+// TestScaleBoundsConcurrent builds the tables of a Tech no other test
+// uses from several goroutines at once: every caller gets one shared
+// ScaleBounds, and brackets agree.
+func TestScaleBoundsConcurrent(t *testing.T) {
+	tech := DefaultTech()
+	tech.LgateNM = 64.5
+	lg := scaleBenchInputs()
+	got := make([]*ScaleBounds, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := tech.ScaleBounds()
+			lo, hi := make([]float64, len(lg)), make([]float64, len(lg))
+			b.Bracket(lo, hi, lg, nil, nil)
+			got[w] = b
+		}(w)
+	}
+	wg.Wait()
+	for w, b := range got {
+		if b != tech.ScaleBounds() {
+			t.Errorf("goroutine %d got its own tables", w)
 		}
 	}
 }
@@ -501,6 +633,24 @@ func BenchmarkSampleScaler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc.Scale(out, col, nil, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/cell")
+}
+
+// BenchmarkScaleBounds is the per-cell cost of bracketing a sample:
+// Bracket over the same 29,481-cell column, reported as ns/cell.
+func BenchmarkScaleBounds(b *testing.B) {
+	tech := DefaultTech()
+	sb := tech.ScaleBounds()
+	lgs := scaleBenchInputs()
+	col := make([]float64, 29481)
+	for i := range col {
+		col[i] = lgs[i&4095]
+	}
+	lo, hi := make([]float64, len(col)), make([]float64, len(col))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.Bracket(lo, hi, col, nil, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/cell")
 }

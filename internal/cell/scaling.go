@@ -102,9 +102,7 @@ func (t *Tech) DelayScale(vdd, lgateNM float64) float64 {
 // kept, in order. Loops over a whole sample use SampleScaler.
 func (t *Tech) DelayScaler(vdd float64) func(lgateNM float64) float64 {
 	s := t.newDelayScaler()
-	return func(lgateNM float64) float64 {
-		return s.at(vdd, exactPow(s.ratio(lgateNM), 0.5, 1.5), s.dibl(lgateNM))
-	}
+	return func(lgateNM float64) float64 { return s.scale(vdd, lgateNM) }
 }
 
 // sampleBlock is the number of cells one SampleScaler pass covers:
@@ -160,6 +158,36 @@ func (sc *SampleScaler) ScalePair(lo, hi, lg, derate []float64) {
 			d = derate[b:e]
 		}
 		sc.pairBlock(lo[b:e], hi[b:e], lg[b:e], d)
+	}
+}
+
+// ScaleCells is Scale over the listed cells of whole-chip columns:
+// out[j] is cell cells[j]'s scale, bit for bit what Scale writes for
+// it. Nil derate and domains mean what they mean for Scale. Each block
+// of cells is gathered into stack columns, so a call allocates nothing.
+func (sc *SampleScaler) ScaleCells(out []float64, cells []int32, lg, derate []float64, domains []Domain) {
+	var glg, gder [sampleBlock]float64
+	var gdom [sampleBlock]Domain
+	for b := 0; b < len(cells); b += sampleBlock {
+		cs := cells[b:min(b+sampleBlock, len(cells))]
+		for j, c := range cs {
+			glg[j] = lg[c]
+		}
+		var d []float64
+		if derate != nil {
+			for j, c := range cs {
+				gder[j] = derate[c]
+			}
+			d = gder[:len(cs)]
+		}
+		var dom []Domain
+		if domains != nil {
+			for j, c := range cs {
+				gdom[j] = domains[c]
+			}
+			dom = gdom[:len(cs)]
+		}
+		sc.scaleBlock(out[b:b+len(cs)], glg[:len(cs)], d, dom)
 	}
 }
 
@@ -282,6 +310,11 @@ func (s *delayScaler) overdrive(vdd, dibl float64) float64 {
 // overdrive power p = ov^Alpha.
 func (s *delayScaler) finish(vdd, lr15, p float64) float64 {
 	return lr15 * (vdd / p) / s.denom
+}
+
+// scale is DelayScale(vdd, L), one cell at a time.
+func (s *delayScaler) scale(vdd, lgateNM float64) float64 {
+	return s.at(vdd, exactPow(s.ratio(lgateNM), 0.5, 1.5), s.dibl(lgateNM))
 }
 
 // at is DelayScale(vdd, L) given lr15 = (L/Lnom)^1.5 and

@@ -179,6 +179,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	}
 
 	sampler := model.NewSampler(a.PL, pos, opts.Seed)
+	bounds := tech.ScaleBounds()
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -187,14 +188,19 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 			defer wg.Done()
 			// Each worker owns a kernel (the SoA fast path shares the
 			// analyzer's characterized tables), a fork of the chip
-			// sampler and reusable sample buffers; the scaler equals
-			// cell.DelayScale bit for bit by SampleScaler's contract.
+			// sampler and reusable sample buffers. A sample is
+			// bracketed, bounded and refined: the kernel asks exact for
+			// the few cells that can still set the frame, and the
+			// result equals RunFrame on the exact scales.
 			kern := sta.NewKernel(a)
 			frame := &sta.Frame{}
 			smp := sampler.Fork()
 			lg := make([]float64, nCells)
-			scale := make([]float64, nCells)
+			lo, hi := make([]float64, nCells), make([]float64, nCells)
 			scaler := tech.SampleScaler()
+			exact := func(cells []int32, out []float64) {
+				scaler.ScaleCells(out, cells, lg, opts.Derate, opts.Domains)
+			}
 			// sample is split out so a recovered panic discards one
 			// chip instance, not the worker's whole queue.
 			sample := func(k int) {
@@ -209,8 +215,9 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 					opts.hookSample(k)
 				}
 				smp.Draw(k, lg)
-				scaler.Scale(scale, lg, opts.Derate, opts.Domains)
-				kern.RunFrame(frame, opts.ClockPS, scale)
+				bounds.Bracket(lo, hi, lg, opts.Derate, opts.Domains)
+				kern.Bound(lo, hi)
+				kern.Frame(frame, opts.ClockPS, exact)
 				outs.crit[k] = frame.CritPS
 				mask := uint8(0)
 				for st := range frame.Lanes {

@@ -245,8 +245,12 @@ func (e *Engine) Validate(req Request) error {
 			if q.Raise < 0 {
 				return flowerr.BadInputf("service: whatif query %d: negative raise %d", i, q.Raise)
 			}
-			if q.Overlay != nil && q.Overlay.RMM <= 0 {
-				return flowerr.BadInputf("service: whatif query %d: overlay radius %g must be positive", i, q.Overlay.RMM)
+			if ov := q.Overlay; ov != nil {
+				disc := yield.PosOverlay{Pos: "whatif query " + strconv.Itoa(i),
+					XMM: ov.XMM, YMM: ov.YMM, RMM: ov.RMM, DeltaFrac: ov.DeltaFrac}
+				if err := disc.Validate(); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -521,7 +525,8 @@ func (e *Engine) fieldSweep(ctx context.Context, cfg vipipe.Config, req Request)
 				acc = merged
 			}
 			running[st.Key] = acc
-			mu.Unlock()
+			// Report before unlocking: shards resolve concurrently, and
+			// their events must go out in Done order.
 			reportProgress(ctx, d, total)
 			reportShard(ctx, ShardEvent{
 				Pos:    st.Pos,
@@ -531,6 +536,7 @@ func (e *Engine) fieldSweep(ctx context.Context, cfg vipipe.Config, req Request)
 				Total:  total,
 				Yield:  medianYield(acc),
 			})
+			mu.Unlock()
 		},
 	})
 	reportProgress(ctx, 0, total)

@@ -138,6 +138,10 @@ func TestServiceFieldSweepRejectsBadPlans(t *testing.T) {
 			Overlays: []OverlaySpec{{Pos: "nope", RMM: 1, DeltaFrac: 0.1}}, Config: tinySpec}},
 		{"overlay no radius", Request{Kind: "field_sweep", Grid: "2x2",
 			Overlays: []OverlaySpec{{Pos: "r0c0", DeltaFrac: 0.1}}, Config: tinySpec}},
+		{"overlay delta -2", Request{Kind: "field_sweep", Grid: "2x2",
+			Overlays: []OverlaySpec{{Pos: "r0c0", RMM: 100, DeltaFrac: -2}}, Config: tinySpec}},
+		{"overlay delta 1e300", Request{Kind: "field_sweep", Grid: "2x2",
+			Overlays: []OverlaySpec{{Pos: "r0c0", RMM: 100, DeltaFrac: 1e300}}, Config: tinySpec}},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/jobs", tc.req)

@@ -100,3 +100,24 @@ func TestServiceWhatIfValidation(t *testing.T) {
 		t.Errorf("valid request rejected: %v", err)
 	}
 }
+
+// TestServiceWhatIfRejectsNonPhysicalOverlays pins the HTTP side: a
+// die-covering overlay with delta_frac -2 or 1e300 (valid JSON) is a
+// 400 bad-input at submit, not a job that computes and then fails to
+// encode +Inf.
+func TestServiceWhatIfRejectsNonPhysicalOverlays(t *testing.T) {
+	ts, _, _ := newTestServer(t, 1, 4)
+	for _, delta := range []float64{-2, 1e300} {
+		req := Request{Kind: "whatif", Strategy: "vertical", Position: "B", Config: tinySpec,
+			Queries: []WhatIfSpec{{Raise: 0, Overlay: &OverlaySpec{XMM: 1, YMM: 1, RMM: 1000, DeltaFrac: delta}}}}
+		resp := postJSON(t, ts.URL+"/jobs", req)
+		var eb struct {
+			Class string `json:"class"`
+		}
+		code := resp.StatusCode
+		decodeBody(t, resp, &eb)
+		if code != http.StatusBadRequest || eb.Class != "bad-input" {
+			t.Errorf("delta_frac %g: status %d class %q; want 400 bad-input", delta, code, eb.Class)
+		}
+	}
+}

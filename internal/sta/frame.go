@@ -53,39 +53,17 @@ func (k *Kernel) RunFrame(f *Frame, clockPS float64, scale []float64) {
 func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
 	arr := k.arr
 	neg := math.Inf(-1)
-	f.ClockPS = clockPS
-	f.CritPS = 0
-	f.WorstSlack = math.Inf(1)
-	f.Violators = f.Violators[:0]
-	for s := range f.Lanes {
-		f.Lanes[s] = StageLane{Stage: netlist.Stage(s), WorstSlack: math.Inf(1)}
-		f.Present[s] = false
-	}
-	add := func(inst int, t, need, slack float64, stage netlist.Stage) {
-		if slack < f.WorstSlack {
-			f.WorstSlack = slack
-		}
-		if crit := t + (clockPS - need); crit > f.CritPS {
-			f.CritPS = crit
-		}
-		lane := &f.Lanes[stage]
-		f.Present[stage] = true
-		lane.Endpoints++
-		if slack < lane.WorstSlack {
-			lane.WorstSlack = slack
-			lane.WorstArr = t
-			lane.Endpoint = inst
-		}
-	}
+	f.reset(clockPS)
 	for _, i := range k.seq {
-		need := clockPS - k.setup[i]*scale[i]
+		need := k.required(clockPS, i, scale[i])
 		n := k.in0[i]
 		t := arr[n] + k.wire[n]
 		if t == neg {
 			continue // constant path: unconstrained
 		}
 		slack := need - t
-		add(i, t, need, slack, k.stage[i])
+		f.count(k.stage[i])
+		f.observe(i, t, need, slack, k.stage[i])
 		if slack < 0 {
 			f.Violators = append(f.Violators, int32(i))
 		}
@@ -95,7 +73,44 @@ func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
 		if t == neg {
 			continue
 		}
-		add(netlist.NoInst, t, clockPS, clockPS-t, netlist.StageNone)
+		f.count(netlist.StageNone)
+		f.observe(netlist.NoInst, t, clockPS, clockPS-t, netlist.StageNone)
+	}
+}
+
+// reset empties f for an evaluation at clockPS.
+func (f *Frame) reset(clockPS float64) {
+	f.ClockPS = clockPS
+	f.CritPS = 0
+	f.WorstSlack = math.Inf(1)
+	f.Violators = f.Violators[:0]
+	for s := range f.Lanes {
+		f.Lanes[s] = StageLane{Stage: netlist.Stage(s), WorstSlack: math.Inf(1)}
+		f.Present[s] = false
+	}
+}
+
+// count records one constrained endpoint of a stage.
+func (f *Frame) count(stage netlist.Stage) {
+	f.Present[stage] = true
+	f.Lanes[stage].Endpoints++
+}
+
+// observe folds one endpoint's arrival t, required time need and
+// slack into the global worst slack, the critical path and its stage
+// lane's worst endpoint.
+func (f *Frame) observe(inst int, t, need, slack float64, stage netlist.Stage) {
+	if slack < f.WorstSlack {
+		f.WorstSlack = slack
+	}
+	if crit := t + (f.ClockPS - need); crit > f.CritPS {
+		f.CritPS = crit
+	}
+	lane := &f.Lanes[stage]
+	if slack < lane.WorstSlack {
+		lane.WorstSlack = slack
+		lane.WorstArr = t
+		lane.Endpoint = inst
 	}
 }
 
@@ -146,4 +161,4 @@ func (k *Kernel) View() KernelView {
 }
 
 // NumNets returns the net count the kernel times.
-func (k *Kernel) NumNets() int { return len(k.arr) }
+func (k *Kernel) NumNets() int { return len(k.snkPtr) - 1 }

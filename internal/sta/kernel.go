@@ -20,10 +20,28 @@ import (
 // the timing graph, which is how overlay-perturbed statistics cost a
 // fraction of a full analysis per sample.
 //
+// Bound, Rebound, Crit and Frame (bound.go) time a sample from scale
+// brackets instead, asking for exact scales only where the brackets
+// cannot decide the result; they return Run's and RunFrame's bits.
+//
 // A Kernel is NOT safe for concurrent use: it owns its arrival
-// buffer. Build one per worker (construction is O(cells + nets) and
-// shares the analyzer's characterized delays).
+// buffer. Build one per worker. The first kernel of an analyzer
+// flattens its timing graph, O(cells + nets); every later kernel
+// shares that read-only structure and allocates only its own buffers.
 type Kernel struct {
+	// shape is the analyzer's read-only timing structure; the slices
+	// share their backing arrays with every kernel of the analyzer.
+	shape
+
+	arr   []float64
+	mark  []uint32
+	epoch uint32
+
+	bnd *bounds // bound-then-refine scratch (bound.go)
+}
+
+// shape is the flattened timing structure of an analyzer.
+type shape struct {
 	order []int     // comb topological order (shared with the Analyzer)
 	base  []float64 // nominal instance delays (shared)
 	setup []float64 // nominal setup times (shared)
@@ -47,21 +65,27 @@ type Kernel struct {
 	// incremental re-propagation.
 	snkPtr  []int32
 	snkInst []int32
-
-	arr   []float64
-	mark  []uint32
-	epoch uint32
 }
 
-// NewKernel builds the flattened timing structure from a prepared
-// analyzer. The kernel aliases the analyzer's characterized delay
-// tables; re-characterizing the analyzer (Refresh) orphans the kernel,
-// so build kernels after the netlist is final.
+// NewKernel returns a kernel over a prepared analyzer. The kernel
+// aliases the analyzer's characterized delay tables; re-characterizing
+// the analyzer (Refresh) orphans the kernel, so build kernels after
+// the netlist is final.
 func NewKernel(a *Analyzer) *Kernel {
+	s := a.shape.Load()
+	if s == nil {
+		// Concurrent first calls may both build; the shapes are equal.
+		s = newShape(a)
+		a.shape.Store(s)
+	}
+	return &Kernel{shape: *s, mark: make([]uint32, len(s.out))}
+}
+
+func newShape(a *Analyzer) *shape {
 	nl := a.NL
 	nCells := nl.NumCells()
 	nNets := nl.NumNets()
-	k := &Kernel{
+	k := &shape{
 		order: a.order,
 		base:  a.baseDelay,
 		setup: a.setup,
@@ -74,8 +98,6 @@ func NewKernel(a *Analyzer) *Kernel {
 		isSeq: make([]bool, nCells),
 		stage: make([]netlist.Stage, nCells),
 		inPtr: make([]int32, nCells+1),
-		arr:   make([]float64, nNets),
-		mark:  make([]uint32, nCells),
 	}
 	nIn := 0
 	for i := 0; i < nCells; i++ {
@@ -138,10 +160,19 @@ func (k *Kernel) Run(clockPS float64, scale []float64) float64 {
 	return k.critical(clockPS, scale)
 }
 
+// arrivals returns the retained arrival buffer, allocated on first
+// use: a kernel that only bounds and refines never needs it.
+func (k *Kernel) arrivals() []float64 {
+	if k.arr == nil {
+		k.arr = make([]float64, k.NumNets())
+	}
+	return k.arr
+}
+
 // propagate performs the full arrival propagation for a scale vector,
 // leaving the result in the retained arrival buffer.
 func (k *Kernel) propagate(scale []float64) {
-	arr := k.arr
+	arr := k.arrivals()
 	neg := math.Inf(-1)
 	for n := range arr {
 		arr[n] = neg
@@ -179,7 +210,7 @@ func (k *Kernel) critical(clockPS float64, scale []float64) float64 {
 	neg := math.Inf(-1)
 	crit := 0.0
 	for _, i := range k.seq {
-		need := clockPS - k.setup[i]*scale[i]
+		need := k.required(clockPS, i, scale[i])
 		n := k.in0[i]
 		t := arr[n] + k.wire[n]
 		if t == neg {
@@ -209,7 +240,7 @@ func (k *Kernel) critical(clockPS float64, scale []float64) float64 {
 // re-evaluate (endpoints are cheap, and flop setup scaling makes every
 // endpoint clock-sensitive anyway).
 func (k *Kernel) Rerun(clockPS float64, scale []float64, dirty []int) float64 {
-	arr := k.arr
+	arr := k.arrivals()
 	neg := math.Inf(-1)
 	k.epoch++
 	e := k.epoch

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
@@ -35,6 +36,8 @@ type Analyzer struct {
 	baseDelay []float64 // nominal cell delay per instance (comb: in->out, ff: clk->Q)
 	setup     []float64 // nominal setup time per instance (flops only)
 	wire      []float64 // wire delay per net
+
+	shape atomic.Pointer[shape] // kernel structure, built by the first NewKernel
 }
 
 // New prepares an analyzer for a placed netlist.
@@ -107,6 +110,7 @@ func (a *Analyzer) Refresh() error {
 	a.setup = make([]float64, a.NL.NumCells())
 	a.wire = make([]float64, a.NL.NumNets())
 	a.characterize()
+	a.shape.Store(nil)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -181,9 +182,32 @@ func (p Plan) Validate() error {
 			return flowerr.BadInputf("yield: duplicate overlay for position %q", ov.Pos)
 		}
 		seen[ov.Pos] = true
-		if ov.RMM <= 0 {
-			return flowerr.BadInputf("yield: overlay at %q needs a positive radius, got %g", ov.Pos, ov.RMM)
+		if err := ov.Validate(); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// MaxDeltaFrac bounds an overlay's |DeltaFrac|. It keeps every
+// perturbed gate length at or above ~29 nm, more than 20 sigma of the
+// random component away from zero, where the delay model still holds.
+const MaxDeltaFrac = 0.5
+
+// Validate checks that the disc is physical: a finite centre, radius
+// and delta, a positive radius, and |DeltaFrac| <= MaxDeltaFrac.
+func (ov PosOverlay) Validate() error {
+	for _, v := range []float64{ov.XMM, ov.YMM, ov.RMM, ov.DeltaFrac} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return flowerr.BadInputf("yield: overlay at %q: disc (%g, %g) r %g delta %g is not finite",
+				ov.Pos, ov.XMM, ov.YMM, ov.RMM, ov.DeltaFrac)
+		}
+	}
+	if ov.RMM <= 0 {
+		return flowerr.BadInputf("yield: overlay at %q needs a positive radius, got %g", ov.Pos, ov.RMM)
+	}
+	if math.Abs(ov.DeltaFrac) > MaxDeltaFrac {
+		return flowerr.BadInputf("yield: overlay at %q: delta_frac %g outside [-%g, %g]", ov.Pos, ov.DeltaFrac, MaxDeltaFrac, MaxDeltaFrac)
 	}
 	return nil
 }

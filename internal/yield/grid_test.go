@@ -3,9 +3,12 @@ package yield
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"vipipe/internal/flowerr"
 	"vipipe/internal/variation"
 )
 
@@ -121,6 +124,50 @@ func TestPlanValidate(t *testing.T) {
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad plan %d accepted", i)
+		}
+	}
+}
+
+// TestOverlayValidate pins which discs a plan (and a whatif query)
+// accepts: finite coordinates, radius and delta, a positive radius and
+// |DeltaFrac| <= MaxDeltaFrac. A die-covering disc with delta -2 or
+// 1e300 once computed NaN or +Inf scales.
+func TestOverlayValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		ov   PosOverlay
+		ok   bool
+	}{
+		{"typical", PosOverlay{XMM: 8, YMM: 12, RMM: 6, DeltaFrac: 0.05}, true},
+		{"zero delta", PosOverlay{RMM: 1}, true},
+		{"largest delta", PosOverlay{RMM: 100, DeltaFrac: MaxDeltaFrac}, true},
+		{"largest negative delta", PosOverlay{RMM: 100, DeltaFrac: -MaxDeltaFrac}, true},
+		{"negative centre", PosOverlay{XMM: -3, YMM: -4, RMM: 1, DeltaFrac: 0.1}, true},
+		{"delta -2", PosOverlay{RMM: 100, DeltaFrac: -2}, false},
+		{"delta 1e300", PosOverlay{RMM: 100, DeltaFrac: 1e300}, false},
+		{"delta just past the bound", PosOverlay{RMM: 1, DeltaFrac: math.Nextafter(MaxDeltaFrac, 1)}, false},
+		{"NaN delta", PosOverlay{RMM: 1, DeltaFrac: nan}, false},
+		{"NaN radius", PosOverlay{RMM: nan, DeltaFrac: 0.1}, false},
+		{"infinite radius", PosOverlay{RMM: inf, DeltaFrac: 0.1}, false},
+		{"zero radius", PosOverlay{RMM: 0, DeltaFrac: 0.1}, false},
+		{"negative radius", PosOverlay{RMM: -1, DeltaFrac: 0.1}, false},
+		{"NaN x", PosOverlay{XMM: nan, RMM: 1}, false},
+		{"infinite y", PosOverlay{YMM: -inf, RMM: 1}, false},
+	}
+	for _, tc := range cases {
+		ov := tc.ov
+		ov.Pos = "r0c0"
+		err := ov.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%t", tc.name, err, tc.ok)
+		}
+		if err != nil && !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("%s: error %v is not bad input", tc.name, err)
+		}
+		p := Plan{Grid: Grid{2, 2}, Samples: 8, Shards: 2, Overlays: []PosOverlay{ov}}
+		if perr := p.Validate(); (perr == nil) != tc.ok {
+			t.Errorf("%s: Plan.Validate() = %v, want ok=%t", tc.name, perr, tc.ok)
 		}
 	}
 }

@@ -53,7 +53,9 @@ type ShardInput struct {
 // kernel and folds them into a ShardStat. Chips come from the same
 // variation.Sampler and delay scaler as mc.Run, sample for sample, so
 // a one-shard sweep reproduces mc.Run's critical-path distribution
-// bit-for-bit.
+// bit-for-bit. Each sample is timed bound-then-refine
+// (sta.Kernel.Crit): its critical path equals a full Run on the exact
+// scales.
 //
 // Cancellation is checked at every sample boundary; a cancelled shard
 // returns an error rather than a partial stat, because merge
@@ -75,16 +77,14 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 	span.SetAttr("samples", in.Count)
 
 	// Per-shard invariants, hoisted out of the sample loop: the chip
-	// sampler (the position's systematic gate-length map) and the
-	// block delay scaler.
+	// sampler (the position's systematic gate-length map), the delay
+	// scale brackets and the exact block scaler.
 	sampler := in.Model.NewSampler(in.PL, in.Pos, in.Seed)
+	bounds := in.Tech.ScaleBounds()
 	scaler := in.Tech.SampleScaler()
 
 	// The overlay's dirty set: cells inside the disc, chip-local mm.
-	// Their perturbed gate lengths, derates and scales are gathered
-	// into columns of their own so one Scale call covers them.
 	var dirty []int
-	var dirtyLg, dirtyDerate, dirtyScale []float64
 	deltaNM := 0.0
 	if in.Overlay != nil {
 		deltaNM = in.Model.LnomNM * in.Overlay.DeltaFrac
@@ -98,14 +98,6 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 			}
 		}
 		span.SetAttr("overlay_cells", len(dirty))
-		dirtyLg = make([]float64, len(dirty))
-		dirtyScale = make([]float64, len(dirty))
-		if in.Derate != nil {
-			dirtyDerate = make([]float64, len(dirty))
-			for j, i := range dirty {
-				dirtyDerate[j] = in.Derate[i]
-			}
-		}
 	}
 
 	stat := &ShardStat{
@@ -119,8 +111,11 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 		stat.OvHist = NewHistogram(axis.LoPS, axis.HiPS, axis.Points)
 	}
 
+	// Each sample is bracketed, bounded and refined: the kernel asks
+	// exact for the few cells that can still set the critical path.
 	lg := make([]float64, n)
-	scale := make([]float64, n)
+	lo, hi := make([]float64, n), make([]float64, n)
+	exact := func(cells []int32, out []float64) { scaler.ScaleCells(out, cells, lg, in.Derate, nil) }
 	for k := in.Start; k < in.Start+in.Count; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, flowerr.Cancelledf(
@@ -128,21 +123,24 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 				in.Pos.Name, in.Shard, stat.Samples, in.Count, err)
 		}
 		sampler.Draw(k, lg)
-		scaler.Scale(scale, lg, in.Derate, nil)
-		crit := in.Kernel.Run(in.ClockPS, scale)
+		bounds.Bracket(lo, hi, lg, in.Derate, nil)
+		in.Kernel.Bound(lo, hi)
+		crit := in.Kernel.Crit(in.ClockPS, exact)
 		stat.Samples++
 		stat.Crit.Observe(crit)
 		stat.Hist.Observe(crit)
 
-		if len(dirty) > 0 || (in.Overlay != nil && deltaNM == 0) {
-			for j, i := range dirty {
-				dirtyLg[j] = lg[i] + deltaNM
+		if len(dirty) > 0 {
+			for _, i := range dirty {
+				lg[i] += deltaNM
+				d := 1.0
+				if in.Derate != nil {
+					d = in.Derate[i]
+				}
+				lo[i], hi[i] = bounds.At(lg[i], d, cell.DomainLow)
 			}
-			scaler.Scale(dirtyScale, dirtyLg, dirtyDerate, nil)
-			for j, i := range dirty {
-				scale[i] = dirtyScale[j]
-			}
-			ovCrit := in.Kernel.Rerun(in.ClockPS, scale, dirty)
+			in.Kernel.Rebound(lo, hi, dirty)
+			ovCrit := in.Kernel.Crit(in.ClockPS, exact)
 			stat.OvCrit.Observe(ovCrit)
 			stat.OvHist.Observe(ovCrit)
 		} else if in.Overlay != nil {
