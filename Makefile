@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-full test race fault fuzz service-it crash-it bench bench-smoke bench-diff bench-diff-advisory ci clean
+.PHONY: all build fmt vet lint lint-full test race fault fuzz service-it crash-it bench bench-smoke bench-check bench-diff bench-diff-advisory ci clean
 
 all: build
 
@@ -84,6 +84,13 @@ bench:
 bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
 
+# The benchmark harness (bench/) is a module of its own, so the root
+# `go build ./...` never compiles it. bench-check vets and tests it
+# against this tree; TestWorkloadsSmoke checks every workload's seed-1
+# digests against bench/golden.json (~30 s).
+bench-check:
+	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # Benchmark-regression gate: measure a fresh run into BENCH_fresh.json
 # (never overwriting the committed baseline) and compare the gated
 # warm-path speedup ratios against cmd/benchdiff/testdata/baseline.json
@@ -101,7 +108,7 @@ bench-diff:
 bench-diff-advisory:
 	-$(MAKE) bench-diff
 
-ci: fmt vet lint-full build race test fault service-it crash-it bench-smoke bench-diff-advisory
+ci: fmt vet lint-full build race test fault service-it crash-it bench-smoke bench-check bench-diff-advisory
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,14 @@
 package vipipe
 
-import "testing"
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
+	"testing"
+
+	"vipipe/internal/pipeline"
+)
 
 // TestConfigHashGolden pins the content hashes that key every cached
 // artifact ("<hash>/<node>"): the daemon's warm-cache behaviour and
@@ -39,5 +47,50 @@ func TestConfigHashGolden(t *testing.T) {
 			t.Errorf("hash collision between %s and %s", prev, g.name)
 		}
 		seen[h] = g.name
+	}
+}
+
+// TestTimingModelGolden pins the bytes of the compact timing models:
+// the SHA-256 of the disk-codec (gob) encoding of every tmodel/* node
+// of the seed-1 TestConfig graph, for each slicing strategy at the
+// four diagonal positions. Extraction is deterministic, so any change
+// to path selection, cell data, validation bounds or the Model layout
+// shows up here, and so does a change to the format DiskStore
+// persists: a daemon restarted over an old store would still decode,
+// but serve different answers.
+func TestTimingModelGolden(t *testing.T) {
+	golden := map[string]string{
+		"tmodel/vertical/A":   "c0f1aaef73b1966d22e9007cd0cd31a4dfd8b93825ff499d670420f1fad87a3c",
+		"tmodel/vertical/B":   "bb0ece0b0f8947f2edc25ed8b41df61571fc355806a975fb0d08a0611a3bcf30",
+		"tmodel/vertical/C":   "a5a6ec1229fa27882d3a7945c1636c6b7ce0da959e3b8b456e7f672c8282f58f",
+		"tmodel/vertical/D":   "fac292c20318e730443a6244ae9c73e075c753ff19d840348c85f21a71fbaab9",
+		"tmodel/horizontal/A": "1e80fbd05cfd39131d290eed4265ab3ce21bb679b47f75ed9f865fb1dca0f8e2",
+		"tmodel/horizontal/B": "fa26485e66dbef08d9236d42e6f8ea7215682bbfcb08390305a1a2df5cff4381",
+		"tmodel/horizontal/C": "6442d9e7355804994430a05cb34fd31a540e2670f1c0b21a595ce8e147312363",
+		"tmodel/horizontal/D": "7670fb8ed52acc810c69d039f6cf014846468d5854e36be3f3b8b8f9a0e7c8cf",
+		"tmodel/corner/A":     "a0fd6ddcb16beab15d46a3a46b2083744bb5149644531a8cd33b938e094ffdcc",
+		"tmodel/corner/B":     "c96a76a695b36bb15b43f72720039e233c1e96e2e876c0e2d2e63b485b3bc8ac",
+		"tmodel/corner/C":     "13a169444ea5d0d907647676e539a9520525c659fa8de475b987d29885cf81de",
+		"tmodel/corner/D":     "446897ad19d6d284ec749775258770a01cae577f16d850e3eb9e9f79c0af5768",
+	}
+	ids := make([]string, 0, len(golden))
+	for id := range golden {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	g := NewGraph(TestConfig(), pipeline.NewMemStore())
+	arts, err := g.Request(context.Background(), ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		b, err := DiskCodecs()(id).Encode(arts[id])
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != golden[id] {
+			t.Errorf("%s: model digest %s, want %s — extraction output changed, see test comment", id, got, golden[id])
+		}
 	}
 }

@@ -79,9 +79,14 @@ func (t *Tech) newScaleBounds() *ScaleBounds {
 	for j := range grid {
 		grid[j] = b.l0 + float64(j)*boundStep
 	}
+	high := make([]Domain, n)
+	for j := range high {
+		high[j] = DomainHigh
+	}
 	sc := t.SampleScaler()
 	b.lo, b.hi = make([]float64, n), make([]float64, n)
-	sc.ScalePair(b.lo, b.hi, grid, nil)
+	sc.Scale(b.lo, grid, nil, nil)
+	sc.Scale(b.hi, grid, nil, high)
 	for j := 1; j < n; j++ {
 		if !(b.lo[j-1] < b.lo[j] && b.hi[j-1] < b.hi[j]) {
 			return b

@@ -380,8 +380,8 @@ func TestDelayScalerBitIdentical(t *testing.T) {
 }
 
 // TestSampleScalerBitIdentical locks the block scaler's contract: Scale
-// (with and without derate and domains), ScaleCells and ScalePair reproduce
-// DelayScale(vdd, lg) * derate bit for bit on every input set, every
+// (with and without derate, with nil, mixed and all-high domains) and
+// ScaleCells reproduce DelayScale(vdd, lg) * derate bit for bit on every input set, every
 // checked Alpha and both technologies; they touch nothing past the
 // column and allocate nothing. The lengths exercise empty, partial,
 // exact and full-core block tilings.
@@ -396,9 +396,11 @@ func TestSampleScalerBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(alpha * 100)))
 		derate := make([]float64, len(col))
 		domains := make([]Domain, len(col))
+		high := make([]Domain, len(col))
 		for i := range col {
 			derate[i] = 0.8 + 0.4*rng.Float64()
 			domains[i] = Domain(rng.Intn(2))
+			high[i] = DomainHigh
 		}
 		for _, tech := range scalerTechs(alpha) {
 			sc := tech.SampleScaler()
@@ -411,7 +413,6 @@ func TestSampleScalerBitIdentical(t *testing.T) {
 				wantDom[i] = tech.DelayScale(tech.Vdd(domains[i]), lg)
 			}
 			out := make([]float64, len(col)+1)
-			hi := make([]float64, len(col)+1)
 			for _, n := range append(lengths, len(col)) {
 				lg := col[:n]
 				check := func(call string, got, ref, d []float64) {
@@ -437,10 +438,8 @@ func TestSampleScalerBitIdentical(t *testing.T) {
 					check("Scale "+name, out, wantLo, d)
 					sc.Scale(out, lg, d, domains[:n])
 					check("Scale domains "+name, out, wantDom, d)
-					hi[n] = guard
-					sc.ScalePair(out, hi, lg, d)
-					check("ScalePair lo "+name, out, wantLo, d)
-					check("ScalePair hi "+name, hi, wantHi, d)
+					sc.Scale(out, lg, d, high[:n])
+					check("Scale high "+name, out, wantHi, d)
 				}
 				// ScaleCells over the first n cells in reverse: out[j]
 				// is cell n-1-j's scale.
@@ -457,8 +456,7 @@ func TestSampleScalerBitIdentical(t *testing.T) {
 			}
 			n := 29481
 			for name, fn := range map[string]func(){
-				"Scale":     func() { sc.Scale(out, col[:n], derate[:n], domains[:n]) },
-				"ScalePair": func() { sc.ScalePair(out, hi, col[:n], derate[:n]) },
+				"Scale": func() { sc.Scale(out, col[:n], derate[:n], domains[:n]) },
 				"ScaleCells": func() {
 					sc.ScaleCells(out, []int32{0, int32(n - 1), int32(n / 2)}, col, derate, domains)
 				},

@@ -147,20 +147,6 @@ func (sc *SampleScaler) Scale(out, lg, derate []float64, domains []Domain) {
 	}
 }
 
-// ScalePair is Scale at both supplies: lo[i] and hi[i] are the cell's
-// delay factors at VddLow and VddHigh. The gate-length power and the
-// DIBL exponential do not depend on the supply and are computed once.
-func (sc *SampleScaler) ScalePair(lo, hi, lg, derate []float64) {
-	for b := 0; b < len(lg); b += sampleBlock {
-		e := min(b+sampleBlock, len(lg))
-		var d []float64
-		if derate != nil {
-			d = derate[b:e]
-		}
-		sc.pairBlock(lo[b:e], hi[b:e], lg[b:e], d)
-	}
-}
-
 // ScaleCells is Scale over the listed cells of whole-chip columns:
 // out[j] is cell cells[j]'s scale, bit for bit what Scale writes for
 // it. Nil derate and domains mean what they mean for Scale. Each block
@@ -234,32 +220,6 @@ func (sc *SampleScaler) scaleBlock(out, lg, derate []float64, domains []Domain) 
 			x *= derate[i]
 		}
 		out[i] = x
-	}
-}
-
-// pairBlock is ScalePair over at most sampleBlock cells.
-func (sc *SampleScaler) pairBlock(lo, hi, lg, derate []float64) {
-	var lr15, dibl, ovLo, ovHi, logLo, logHi [sampleBlock]float64
-	s := &sc.s
-	sc.gateTerms(lg, &lr15, &dibl)
-	for i := range lg {
-		ol, oh := s.overdrive(sc.vlo, dibl[i]), s.overdrive(sc.vhi, dibl[i])
-		ovLo[i], ovHi[i] = ol, oh
-		if powDomain(ol, s.alphaFrac) {
-			logLo[i] = math.Log(ol)
-		}
-		if powDomain(oh, s.alphaFrac) {
-			logHi[i] = math.Log(oh)
-		}
-	}
-	for i := range lg {
-		l := s.finish(sc.vlo, lr15[i], powFinish(ovLo[i], s.alphaFrac, s.alpha, logLo[i]))
-		h := s.finish(sc.vhi, lr15[i], powFinish(ovHi[i], s.alphaFrac, s.alpha, logHi[i]))
-		if derate != nil {
-			l *= derate[i]
-			h *= derate[i]
-		}
-		lo[i], hi[i] = l, h
 	}
 }
 

@@ -101,6 +101,22 @@ type ConfigSpec struct {
 	FIRTaps    int `json:"fir_taps,omitempty"`
 }
 
+// MaxSamples bounds a request's Monte Carlo sample counts (MCSamples,
+// VISamples). mc.Run keeps ~100 bytes of columns per sample, so an
+// unbounded count lets one request exhaust the daemon's memory; at the
+// bound a run holds ~50 MiB. It admits the 400,000-sample jobs that
+// keep a worker busy in the backpressure and drain tests.
+const MaxSamples = 1 << 19
+
+// Validate rejects sample counts above MaxSamples.
+func (s ConfigSpec) Validate() error {
+	if s.MCSamples > MaxSamples || s.VISamples > MaxSamples {
+		return flowerr.BadInputf("service: config mc_samples %d / vi_samples %d exceed %d",
+			s.MCSamples, s.VISamples, MaxSamples)
+	}
+	return nil
+}
+
 // ToConfig resolves the spec against its base profile.
 func (s ConfigSpec) ToConfig() vipipe.Config {
 	cfg := vipipe.DefaultConfig()
@@ -209,6 +225,9 @@ func (e *Engine) graph(cfg vipipe.Config) *pipeline.Graph {
 // Validate checks a request without running it, so frontends can
 // reject malformed submissions synchronously with ErrBadInput.
 func (e *Engine) Validate(req Request) error {
+	if err := req.Config.Validate(); err != nil {
+		return err
+	}
 	switch req.Kind {
 	case "characterize", "chipwide_power":
 		_, err := parsePos(req.Config.ToConfig(), req.Position)

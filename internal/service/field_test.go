@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"testing"
 
@@ -142,6 +143,13 @@ func TestServiceFieldSweepRejectsBadPlans(t *testing.T) {
 			Overlays: []OverlaySpec{{Pos: "r0c0", RMM: 100, DeltaFrac: -2}}, Config: tinySpec}},
 		{"overlay delta 1e300", Request{Kind: "field_sweep", Grid: "2x2",
 			Overlays: []OverlaySpec{{Pos: "r0c0", RMM: 100, DeltaFrac: 1e300}}, Config: tinySpec}},
+		// Sizes that would exhaust the daemon's memory unchecked: 10^10
+		// positions at submit, a 2^31-bin histogram in a shard.
+		{"grid 100000x100000", Request{Kind: "field_sweep", Grid: "100000x100000", Config: tinySpec}},
+		{"grid past 64x64", Request{Kind: "field_sweep", Grid: "65x64", Config: tinySpec}},
+		{"points 2^31-1", Request{Kind: "field_sweep", Grid: "2x2", Points: math.MaxInt32, Config: tinySpec}},
+		{"shards past the limit", Request{Kind: "field_sweep", Grid: "2x2", Shards: 1000,
+			Config: ConfigSpec{Small: true, MCSamples: 2000}}},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/jobs", tc.req)

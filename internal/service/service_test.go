@@ -172,6 +172,9 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 		{"unknown strategy", `{"kind":"islands","strategy":"diagonal","config":{"small":true}}`, 400},
 		{"scenario out of range", `{"kind":"scenario_power","strategy":"vertical","position":"A","scenario":7,"config":{"small":true}}`, 400},
 		{"unknown field", `{"kind":"characterize","position":"A","bogus":1}`, 400},
+		{"mc_samples 2^40", `{"kind":"characterize","position":"A","config":{"small":true,"mc_samples":1099511627776}}`, 400},
+		{"vi_samples 2^40", `{"kind":"islands","strategy":"vertical","config":{"small":true,"vi_samples":1099511627776}}`, 400},
+		{"mc_samples past the limit", fmt.Sprintf(`{"kind":"drc","config":{"small":true,"mc_samples":%d}}`, MaxSamples+1), 400},
 		{"garbage", `{nope`, 400},
 	}
 	for _, tc := range cases {

@@ -114,51 +114,17 @@ func (f *Frame) observe(inst int, t, need, slack float64, stage netlist.Stage) {
 	}
 }
 
-// KernelView exposes the kernel's flattened timing structure to model
-// extractors (internal/tmodel) that need to walk the timing graph with
-// the exact characterized delays the kernel times with. All slices
-// alias kernel state and must be treated as read-only.
-type KernelView struct {
-	// Order is the combinational topological order (instance IDs).
-	Order []int
-	// BasePS / SetupPS are nominal per-instance delays; WirePS is the
-	// per-net wire delay.
-	BasePS  []float64
-	SetupPS []float64
-	WirePS  []float64
-	// PIs / POs are primary-input and primary-output net IDs; Seq
-	// lists sequential instances in ascending instance order.
-	PIs []int
-	POs []int
-	Seq []int
-	// Out is the driven net per instance; InPtr/InNet is the CSR of
-	// input nets per instance.
-	Out   []int32
-	InPtr []int32
-	InNet []int32
-	IsTie []bool
-	IsSeq []bool
-	Stage []netlist.Stage
-}
+// KernelView is a read-only handle on the analyzer a kernel times,
+// for model extractors (internal/tmodel) that time the design through
+// the analyzer's own functions: RunInto, CriticalPath and a kernel's
+// RunFrame.
+type KernelView struct{ a *Analyzer }
 
-// View returns a read-only view of the kernel's timing structure.
-func (k *Kernel) View() KernelView {
-	return KernelView{
-		Order:   k.order,
-		BasePS:  k.base,
-		SetupPS: k.setup,
-		WirePS:  k.wire,
-		PIs:     k.pis,
-		POs:     k.pos,
-		Seq:     k.seq,
-		Out:     k.out,
-		InPtr:   k.inPtr,
-		InNet:   k.inNet,
-		IsTie:   k.isTie,
-		IsSeq:   k.isSeq,
-		Stage:   k.stage,
-	}
-}
+// Analyzer returns the analyzer behind the view; nil for a zero view.
+func (v KernelView) Analyzer() *Analyzer { return v.a }
+
+// View returns a handle on the kernel's analyzer.
+func (k *Kernel) View() KernelView { return KernelView{a: k.a} }
 
 // NumNets returns the net count the kernel times.
 func (k *Kernel) NumNets() int { return len(k.snkPtr) - 1 }

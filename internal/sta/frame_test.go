@@ -88,28 +88,3 @@ func TestFrameReuse(t *testing.T) {
 		t.Fatalf("reused frame diverged from fresh: %+v vs %+v", reused, fresh)
 	}
 }
-
-// TestViewShape sanity-checks the extractor view: consistent lengths
-// and a CSR that covers every instance input.
-func TestViewShape(t *testing.T) {
-	a := coreAnalyzer(t)
-	k := NewKernel(a)
-	v := k.View()
-	n := k.NumCells()
-	if len(v.Out) != n || len(v.IsTie) != n || len(v.IsSeq) != n || len(v.Stage) != n {
-		t.Fatalf("per-instance slices disagree on cell count")
-	}
-	if len(v.InPtr) != n+1 {
-		t.Fatalf("InPtr length %d != cells+1", len(v.InPtr))
-	}
-	if int(v.InPtr[n]) != len(v.InNet) {
-		t.Fatalf("CSR tail %d != %d input nets", v.InPtr[n], len(v.InNet))
-	}
-	for i := 0; i < n; i++ {
-		want := a.NL.Insts[i].Inputs
-		got := v.InNet[v.InPtr[i]:v.InPtr[i+1]]
-		if len(got) != len(want) {
-			t.Fatalf("inst %d: %d inputs in view, %d in netlist", i, len(got), len(want))
-		}
-	}
-}

@@ -42,6 +42,8 @@ type Kernel struct {
 
 // shape is the flattened timing structure of an analyzer.
 type shape struct {
+	a *Analyzer // the analyzer the structure flattens
+
 	order []int     // comb topological order (shared with the Analyzer)
 	base  []float64 // nominal instance delays (shared)
 	setup []float64 // nominal setup times (shared)
@@ -86,6 +88,7 @@ func newShape(a *Analyzer) *shape {
 	nCells := nl.NumCells()
 	nNets := nl.NumNets()
 	k := &shape{
+		a:     a,
 		order: a.order,
 		base:  a.baseDelay,
 		setup: a.setup,

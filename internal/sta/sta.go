@@ -94,6 +94,10 @@ func (a *Analyzer) characterize() {
 // BaseDelay returns the nominal (scale = 1) delay of instance i.
 func (a *Analyzer) BaseDelay(i int) float64 { return a.baseDelay[i] }
 
+// SetupTime returns the nominal (scale = 1) setup time of instance i;
+// zero for a combinational cell.
+func (a *Analyzer) SetupTime(i int) float64 { return a.setup[i] }
+
 // WireDelay returns the wire delay of net n.
 func (a *Analyzer) WireDelay(n int) float64 { return a.wire[n] }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/netlist"
 )
 
 // modelMeta is the signature-independent part of a Model.
@@ -31,8 +32,7 @@ type cellData struct {
 // canonical signature order, local cell IDs assigned in first-use
 // order over the sorted signatures, per-sig group sums precomputed.
 // The output depends only on the *set* of signatures (and the cell
-// data they reference), never on their arrival order — Merge's
-// order-invariance rests on this.
+// data they reference), never on their arrival order.
 func assemble(meta modelMeta, sigs []gsig, cellAt func(global int32) cellData) *Model {
 	sortSigs(sigs)
 
@@ -96,8 +96,8 @@ func assemble(meta modelMeta, sigs []gsig, cellAt func(global int32) cellData) *
 			s.HopWire = append(s.HopWire, g.hopWire[j])
 			s.WireSum += g.hopWire[j]
 		}
-		if g.capInst >= 0 {
-			s.Cap = intern(g.capInst)
+		if g.ep != netlist.NoInst {
+			s.Cap = intern(g.ep)
 		}
 		s.WireSum += g.capWire
 		m.Sigs = append(m.Sigs, s)
@@ -129,47 +129,4 @@ func sortSigs(sigs []gsig) {
 		}
 		return false
 	})
-}
-
-// globalSigs converts a model's signatures back to global-ID form.
-func (m *Model) globalSigs() []gsig {
-	out := make([]gsig, 0, len(m.Sigs))
-	for i := range m.Sigs {
-		s := &m.Sigs[i]
-		g := gsig{
-			stage:   s.Stage,
-			ep:      s.Ep,
-			launch:  -1,
-			capWire: s.CapWire,
-			capInst: -1,
-		}
-		if s.Launch >= 0 {
-			g.launch = m.Cells.Inst[s.Launch]
-		}
-		for j, c := range s.Hops {
-			g.hops = append(g.hops, m.Cells.Inst[c])
-			g.hopWire = append(g.hopWire, s.HopWire[j])
-		}
-		if s.Cap >= 0 {
-			g.capInst = m.Cells.Inst[s.Cap]
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
-// cellDataAt reads one global cell's data back out of the table.
-func (m *Model) cellDataAt(local int32) cellData {
-	c := &m.Cells
-	return cellData{
-		base:   c.BasePS[local],
-		setup:  c.SetupPS[local],
-		lg:     c.LgNM[local],
-		derate: c.Derate[local],
-		lo:     c.LoScale[local],
-		hi:     c.HiScale[local],
-		group:  c.Group[local],
-		x:      c.XUM[local],
-		y:      c.YUM[local],
-	}
 }

@@ -12,12 +12,12 @@ import (
 	"vipipe/internal/sta"
 )
 
-// ExtractInput bundles everything extraction needs: the kernel's
-// flattened timing structure plus the per-instance operating data of
-// the chip position the model is for.
+// ExtractInput bundles everything extraction needs: a handle on the
+// design's timing analyzer plus the per-instance operating data of the
+// chip position the model is for.
 type ExtractInput struct {
-	// View is the timing structure (sta.Kernel.View()); all slices are
-	// read-only.
+	// View is the analyzer handle (sta.Kernel.View()); extraction times
+	// the design through it and never modifies it.
 	View    sta.KernelView
 	ClockPS float64
 	// Region is the per-instance island region, vi.Partition.Region
@@ -38,12 +38,16 @@ type ExtractInput struct {
 	ShifterPS float64
 	Pos       string
 	Strategy  string
-	// PathsPerStage is how many worst endpoints per stage have their
-	// paths stored per probe corner (default 4).
-	PathsPerStage int
-	// MaxDeltaFrac bounds overlay queries (default 0.08).
-	MaxDeltaFrac float64
 }
+
+const (
+	// pathsPerStage is how many worst endpoints per stage have their
+	// paths stored per probe corner.
+	pathsPerStage = 4
+	// maxDeltaFrac bounds the overlay excursions a model is validated
+	// for (Model.MaxDeltaFrac).
+	maxDeltaFrac = 0.08
+)
 
 // Extract probes the island-raise corners of the design, backtracks
 // the worst paths per stage at each corner, and compiles the union
@@ -51,9 +55,13 @@ type ExtractInput struct {
 // to establish BoundPS. Extraction is deterministic: the same input
 // produces a byte-identical model.
 func Extract(in ExtractInput) (*Model, error) {
-	n := len(in.View.Out)
+	a := in.View.Analyzer()
+	if a == nil {
+		return nil, flowerr.BadInputf("tmodel: zero timing view")
+	}
+	n := a.NL.NumCells()
 	if n == 0 {
-		return nil, flowerr.BadInputf("tmodel: empty netlist view")
+		return nil, flowerr.BadInputf("tmodel: empty netlist")
 	}
 	if in.ClockPS <= 0 {
 		return nil, flowerr.BadInputf("tmodel: clock period %g must be positive", in.ClockPS)
@@ -70,12 +78,6 @@ func Extract(in ExtractInput) (*Model, error) {
 	}
 	if in.Islands < 0 {
 		return nil, flowerr.BadInputf("tmodel: island count %d must be >= 0", in.Islands)
-	}
-	if in.PathsPerStage <= 0 {
-		in.PathsPerStage = 4
-	}
-	if in.MaxDeltaFrac <= 0 {
-		in.MaxDeltaFrac = 0.08
 	}
 
 	// Per-instance island group and full low/high scale vectors, the
@@ -103,7 +105,6 @@ func Extract(in ExtractInput) (*Model, error) {
 		lo[i], hi[i] = l, h
 	}
 
-	e := newExtractor(in.View)
 	scale := make([]float64, n)
 	buildScale := func(raise int, ov *Disc) {
 		var deltaNM, r2 float64
@@ -137,16 +138,16 @@ func Extract(in ExtractInput) (*Model, error) {
 		}
 	}
 
-	// Probe every raise corner, keep the union of worst-path
-	// signatures per stage.
+	// Probe every raise corner with a full timing report, keep the
+	// union of worst-path signatures per stage.
 	var sigs []gsig
 	seen := make(map[string]bool)
+	rep := &sta.Report{}
 	for raise := 0; raise <= in.Islands; raise++ {
 		buildScale(raise, nil)
-		e.run(scale)
-		eps := e.endpoints(in.ClockPS, scale)
-		for _, ep := range worstPerStage(eps, in.PathsPerStage) {
-			s, ok := e.backtrack(ep)
+		a.RunInto(rep, in.ClockPS, scale)
+		for _, ep := range worstPerStage(rep.Endpoints, pathsPerStage) {
+			s, ok := pathSig(a, ep, a.CriticalPath(rep, ep, scale))
 			if !ok {
 				continue
 			}
@@ -163,7 +164,7 @@ func Extract(in ExtractInput) (*Model, error) {
 	m := assemble(modelMeta{
 		ClockPS:      in.ClockPS,
 		Islands:      in.Islands,
-		MaxDeltaFrac: in.MaxDeltaFrac,
+		MaxDeltaFrac: maxDeltaFrac,
 		LnomNM:       in.LnomNM,
 		Tech:         in.Tech,
 		ShifterPS:    in.ShifterPS,
@@ -171,8 +172,8 @@ func Extract(in ExtractInput) (*Model, error) {
 		Strategy:     in.Strategy,
 	}, sigs, func(g int32) cellData {
 		return cellData{
-			base:   in.View.BasePS[g],
-			setup:  in.View.SetupPS[g],
+			base:   a.BaseDelay(int(g)),
+			setup:  a.SetupTime(int(g)),
 			lg:     in.LgNM[g],
 			derate: derateAt(in.Derate, g),
 			lo:     lo[g],
@@ -187,29 +188,27 @@ func Extract(in ExtractInput) (*Model, error) {
 	// domain: every raise corner, plus overlay discs at deterministic
 	// positions and the extreme excursions. The worst observed gap,
 	// doubled with a half-picosecond floor, becomes the stated bound.
+	kern := sta.NewKernel(a)
+	frame := &sta.Frame{}
 	worstGap := 0.0
-	note := func(exactCrit float64, lanes *laneSet, ans Answer) {
-		if g := math.Abs(exactCrit - ans.CritPS); g > worstGap {
-			worstGap = g
-		}
-		for _, sa := range ans.PerStage {
-			if !lanes.present[sa.Stage] {
-				continue
-			}
-			if g := math.Abs(sa.WorstSlackPS - lanes.slack[sa.Stage]); g > worstGap {
-				worstGap = g
-			}
-		}
-	}
 	probe := func(raise int, ov *Disc) error {
 		buildScale(raise, ov)
-		e.run(scale)
-		crit, lanes := e.summarize(in.ClockPS, scale)
+		kern.RunFrame(frame, in.ClockPS, scale)
 		ans, err := m.Eval(Query{Raise: raise, Overlay: ov})
 		if err != nil {
 			return err
 		}
-		note(crit, lanes, ans)
+		if g := math.Abs(frame.CritPS - ans.CritPS); g > worstGap {
+			worstGap = g
+		}
+		for _, sa := range ans.PerStage {
+			if !frame.Present[sa.Stage] {
+				continue
+			}
+			if g := math.Abs(sa.WorstSlackPS - frame.Lanes[sa.Stage].WorstSlack); g > worstGap {
+				worstGap = g
+			}
+		}
 		return nil
 	}
 	for raise := 0; raise <= in.Islands; raise++ {
@@ -222,7 +221,7 @@ func Extract(in ExtractInput) (*Model, error) {
 	spanMM := math.Max(maxX-minX, maxY-minY) / 1000
 	for _, fx := range []float64{0.3, 0.7} {
 		for _, fy := range []float64{0.3, 0.7} {
-			for _, df := range []float64{-in.MaxDeltaFrac, in.MaxDeltaFrac} {
+			for _, df := range []float64{-maxDeltaFrac, maxDeltaFrac} {
 				ov := &Disc{
 					XMM:       (minX + fx*(maxX-minX)) / 1000,
 					YMM:       (minY + fy*(maxY-minY)) / 1000,
@@ -261,12 +260,11 @@ func minMax(v []float64) (lo, hi float64) {
 // representation between backtracking and model assembly.
 type gsig struct {
 	stage   netlist.Stage
-	ep      int32 // global endpoint inst, netlist.NoInst for a PO
+	ep      int32 // global capture flop, netlist.NoInst for a PO
 	launch  int32 // global launch flop, -1 for a PI launch
 	hops    []int32
 	hopWire []float64
 	capWire float64
-	capInst int32 // global capture flop, -1 for a PO
 }
 
 // key is the dedup identity of a signature: the endpoint and the exact
@@ -281,143 +279,17 @@ func (s *gsig) key() string {
 	return b.String()
 }
 
-// epoint is one evaluated timing endpoint.
-type epoint struct {
-	inst  int32 // global, netlist.NoInst for a PO
-	net   int32
-	stage netlist.Stage
-	t     float64
-	slack float64
-}
-
-// extractor replays the kernel's exact arrival propagation over a
-// view, with backtracking: the forward float expressions replicate
-// Kernel.propagate operation for operation.
-type extractor struct {
-	v   sta.KernelView
-	arr []float64
-	drv []int32 // driving instance per net, -1 for PIs
-	eps []epoint
-}
-
-func newExtractor(v sta.KernelView) *extractor {
-	e := &extractor{
-		v:   v,
-		arr: make([]float64, len(v.WirePS)),
-		drv: make([]int32, len(v.WirePS)),
-	}
-	for n := range e.drv {
-		e.drv[n] = -1
-	}
-	for i := range v.Out {
-		e.drv[v.Out[i]] = int32(i)
-	}
-	return e
-}
-
-func (e *extractor) run(scale []float64) {
-	v := e.v
-	arr := e.arr
-	neg := math.Inf(-1)
-	for n := range arr {
-		arr[n] = neg
-	}
-	for _, n := range v.PIs {
-		arr[n] = 0
-	}
-	for _, i := range v.Seq {
-		arr[v.Out[i]] = v.BasePS[i] * scale[i]
-	}
-	for _, i := range v.Order {
-		if v.IsTie[i] {
-			continue
-		}
-		worst := neg
-		for _, n := range v.InNet[v.InPtr[i]:v.InPtr[i+1]] {
-			if t := arr[n] + v.WirePS[n]; t > worst {
-				worst = t
-			}
-		}
-		if worst == neg {
-			arr[v.Out[i]] = neg
-			continue
-		}
-		arr[v.Out[i]] = worst + v.BasePS[i]*scale[i]
-	}
-}
-
-// endpoints evaluates every constrained endpoint against the retained
-// arrivals, flop D pins in ascending instance order then primary
-// outputs — the Analyzer's endpoint order.
-func (e *extractor) endpoints(clockPS float64, scale []float64) []epoint {
-	v := e.v
-	arr := e.arr
-	neg := math.Inf(-1)
-	e.eps = e.eps[:0]
-	for _, i := range v.Seq {
-		need := clockPS - v.SetupPS[i]*scale[i]
-		n := v.InNet[v.InPtr[i]]
-		t := arr[n] + v.WirePS[n]
-		if t == neg {
-			continue
-		}
-		e.eps = append(e.eps, epoint{inst: int32(i), net: n, stage: v.Stage[i], t: t, slack: need - t})
-	}
-	for _, n := range v.POs {
-		t := arr[n] + v.WirePS[n]
-		if t == neg {
-			continue
-		}
-		e.eps = append(e.eps, epoint{inst: netlist.NoInst, net: int32(n), stage: netlist.StageNone, t: t, slack: clockPS - t})
-	}
-	return e.eps
-}
-
-// laneSet is the exact per-stage summary used for validation.
-type laneSet struct {
-	slack   [netlist.NumStages]float64
-	present [netlist.NumStages]bool
-}
-
-// summarize reduces the retained arrivals to the exact critical path
-// and per-stage worst slacks.
-func (e *extractor) summarize(clockPS float64, scale []float64) (float64, *laneSet) {
-	lanes := &laneSet{}
-	for s := range lanes.slack {
-		lanes.slack[s] = math.Inf(1)
-	}
-	crit := 0.0
-	for _, ep := range e.endpoints(clockPS, scale) {
-		// Replicate RunInto's crit expression: t + (clock - need),
-		// with need reconstructed exactly as it was computed.
-		var n float64
-		if ep.inst != netlist.NoInst {
-			n = clockPS - e.v.SetupPS[ep.inst]*scale[ep.inst]
-		} else {
-			n = clockPS
-		}
-		if c := ep.t + (clockPS - n); c > crit {
-			crit = c
-		}
-		lanes.present[ep.stage] = true
-		if ep.slack < lanes.slack[ep.stage] {
-			lanes.slack[ep.stage] = ep.slack
-		}
-	}
-	return crit, lanes
-}
-
 // worstPerStage returns, per covered stage, the k endpoints with the
 // smallest slack (stable on ties, so the selection is deterministic).
-func worstPerStage(eps []epoint, k int) []epoint {
-	byStage := make([][]epoint, netlist.NumStages)
+func worstPerStage(eps []sta.Endpoint, k int) []sta.Endpoint {
+	byStage := make([][]sta.Endpoint, netlist.NumStages)
 	for _, ep := range eps {
-		byStage[ep.stage] = append(byStage[ep.stage], ep)
+		byStage[ep.Stage] = append(byStage[ep.Stage], ep)
 	}
-	var out []epoint
+	var out []sta.Endpoint
 	for s := range byStage {
 		lane := byStage[s]
-		sort.SliceStable(lane, func(i, j int) bool { return lane[i].slack < lane[j].slack })
+		sort.SliceStable(lane, func(i, j int) bool { return lane[i].Slack < lane[j].Slack })
 		if len(lane) > k {
 			lane = lane[:k]
 		}
@@ -426,53 +298,28 @@ func worstPerStage(eps []epoint, k int) []epoint {
 	return out
 }
 
-// backtrack walks the worst path into an endpoint startpoint-first,
-// picking the latest-arriving input at each hop exactly like
-// Analyzer.CriticalPath (strictly-greater comparison, first input
-// wins ties).
-func (e *extractor) backtrack(ep epoint) (gsig, bool) {
-	v := e.v
+// pathSig converts the worst path into endpoint ep, as
+// Analyzer.CriticalPath returns it (startpoint first), into a
+// signature. Every hop's wire delay is that of the net entering it:
+// the net of the step before. A path that does not start at a flop or a primary input
+// (it runs back into a tie cell, or into a cell with no finite input)
+// carries no finite arrival to model and is dropped.
+func pathSig(a *sta.Analyzer, ep sta.Endpoint, path []sta.PathStep) (gsig, bool) {
 	s := gsig{
-		stage:   ep.stage,
-		ep:      ep.inst,
+		stage:   ep.Stage,
+		ep:      int32(ep.Inst),
 		launch:  -1,
-		capWire: v.WirePS[ep.net],
-		capInst: ep.inst,
+		capWire: a.WireDelay(ep.Net),
 	}
-	if ep.inst == netlist.NoInst {
-		s.capInst = -1
-	}
-	net := ep.net
-	var revCells []int32
-	var revWire []float64
-	for {
-		d := e.drv[net]
-		if d < 0 {
-			break // primary-input launch
-		}
-		if v.IsSeq[d] {
-			s.launch = d
-			break
-		}
-		if v.IsTie[d] {
-			return s, false // constant path: never on a finite arrival
-		}
-		best, bestT := int32(-1), math.Inf(-1)
-		for _, n := range v.InNet[v.InPtr[d]:v.InPtr[d+1]] {
-			if t := e.arr[n] + v.WirePS[n]; t > bestT {
-				bestT, best = t, n
-			}
-		}
-		if best < 0 {
+	if start := path[0].Inst; start != netlist.NoInst {
+		if !a.NL.IsSequential(start) {
 			return s, false
 		}
-		revCells = append(revCells, d)
-		revWire = append(revWire, v.WirePS[best])
-		net = best
+		s.launch = int32(start)
 	}
-	for i := len(revCells) - 1; i >= 0; i-- {
-		s.hops = append(s.hops, revCells[i])
-		s.hopWire = append(s.hopWire, revWire[i])
+	for j := 1; j < len(path); j++ {
+		s.hops = append(s.hops, int32(path[j].Inst))
+		s.hopWire = append(s.hopWire, a.WireDelay(path[j-1].Net))
 	}
 	return s, true
 }

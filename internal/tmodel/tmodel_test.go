@@ -5,11 +5,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
 	"vipipe/internal/place"
 	"vipipe/internal/sta"
@@ -17,8 +17,8 @@ import (
 	"vipipe/internal/vex"
 )
 
-// regionNone mirrors vi.RegionNone (not imported: vi depends on
-// tmodel for its model-backed checks).
+// regionNone mirrors vi.RegionNone; tmodel's inputs are plain
+// per-instance slices, so its tests build them without vi.
 const regionNone = math.MaxInt32
 
 // fix is the shared extraction fixture: the small vex core with a
@@ -75,21 +75,19 @@ func newFix(t *testing.T) *fix {
 	}
 
 	return &fix{a: a, kern: kern, in: ExtractInput{
-		View:          kern.View(),
-		ClockPS:       clock,
-		Region:        region,
-		Islands:       2,
-		LgNM:          lg,
-		Derate:        derate,
-		XUM:           xum,
-		YUM:           yum,
-		Tech:          core.NL.Lib.Tech,
-		LnomNM:        vm.LnomNM,
-		ShifterPS:     12,
-		Pos:           "center",
-		Strategy:      "grid",
-		PathsPerStage: 4,
-		MaxDeltaFrac:  0.08,
+		View:      kern.View(),
+		ClockPS:   clock,
+		Region:    region,
+		Islands:   2,
+		LgNM:      lg,
+		Derate:    derate,
+		XUM:       xum,
+		YUM:       yum,
+		Tech:      core.NL.Lib.Tech,
+		LnomNM:    vm.LnomNM,
+		ShifterPS: 12,
+		Pos:       "center",
+		Strategy:  "grid",
 	}}
 }
 
@@ -231,67 +229,37 @@ func TestDeterministicExtraction(t *testing.T) {
 	}
 }
 
-// TestMergeOrderInvariance splits a model's signatures across stage
-// groupings and proves any merge order/grouping rebuilds the identical
-// bytes — including a self-merge.
-func TestMergeOrderInvariance(t *testing.T) {
+// TestExtractRejectsBadInput runs Extract's input checks: each
+// malformed input is typed bad input, never a panic.
+func TestExtractRejectsBadInput(t *testing.T) {
 	f := newFix(t)
-	m, err := Extract(f.in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeModel(t, m)
-
-	// Self-merge must be the identity.
-	self, err := Merge(m, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeModel(t, self), want) {
-		t.Fatalf("self-merge changed the encoding")
-	}
-
-	// Split signatures into submodels by stage parity, then by
-	// round-robin — two different groupings of the same set.
-	meta := modelMeta{
-		ClockPS: m.ClockPS, Islands: m.Islands, MaxDeltaFrac: m.MaxDeltaFrac,
-		LnomNM: m.LnomNM, Tech: m.Tech, ShifterPS: m.ShifterPS,
-		Pos: m.Pos, Strategy: m.Strategy,
-	}
-	localOf := make(map[int32]int32)
-	for li, g := range m.Cells.Inst {
-		localOf[g] = int32(li)
-	}
-	cellAt := func(g int32) cellData { return m.cellDataAt(localOf[g]) }
-	sub := func(pick func(i int, g *gsig) bool) *Model {
-		var sel []gsig
-		for i, g := range m.globalSigs() {
-			if pick(i, &g) {
-				sel = append(sel, g)
-			}
-		}
-		sm := assemble(meta, sel, cellAt)
-		sm.BoundPS = m.BoundPS
-		return sm
-	}
-	byStageA := sub(func(_ int, g *gsig) bool { return g.stage%2 == 0 })
-	byStageB := sub(func(_ int, g *gsig) bool { return g.stage%2 == 1 })
-	rrA := sub(func(i int, _ *gsig) bool { return i%2 == 0 })
-	rrB := sub(func(i int, _ *gsig) bool { return i%2 == 1 })
-
-	for name, parts := range map[string][]*Model{
-		"stage":          {byStageA, byStageB},
-		"stage-reversed": {byStageB, byStageA},
-		"roundrobin":     {rrA, rrB},
-		"mixed":          {rrB, byStageA, byStageB, rrA},
+	short := func(v []float64) []float64 { return v[:len(v)-1] }
+	for _, tc := range []struct {
+		name string
+		edit func(in *ExtractInput)
+	}{
+		{"zero view", func(in *ExtractInput) { in.View = sta.KernelView{} }},
+		{"zero clock", func(in *ExtractInput) { in.ClockPS = 0 }},
+		{"negative clock", func(in *ExtractInput) { in.ClockPS = -1 }},
+		{"short lg", func(in *ExtractInput) { in.LgNM = short(in.LgNM) }},
+		{"short x", func(in *ExtractInput) { in.XUM = short(in.XUM) }},
+		{"short y", func(in *ExtractInput) { in.YUM = short(in.YUM) }},
+		{"short region", func(in *ExtractInput) { in.Region = in.Region[1:] }},
+		{"short derate", func(in *ExtractInput) { in.Derate = short(in.Derate) }},
+		{"negative islands", func(in *ExtractInput) { in.Islands = -1 }},
 	} {
-		got, err := Merge(parts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(encodeModel(t, got), want) {
-			t.Errorf("%s merge diverged from the full model", name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			in := f.in
+			tc.edit(&in)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Extract panicked: %v", r)
+				}
+			}()
+			if _, err := Extract(in); !errors.Is(err, flowerr.ErrBadInput) {
+				t.Fatalf("error %v, want ErrBadInput", err)
+			}
+		})
 	}
 }
 
@@ -339,66 +307,6 @@ func TestShifterEstimate(t *testing.T) {
 	}
 	if shifted.ShifterPS != float64(shifted.Crossings)*m.ShifterPS {
 		t.Fatalf("penalty %g inconsistent with %d crossings x %g", shifted.ShifterPS, shifted.Crossings, m.ShifterPS)
-	}
-}
-
-// TestThresholdModelMatchesExact pins the boundary-search model: exact
-// (to float noise) at its probe bounds, a lower bound in between.
-func TestThresholdModelMatchesExact(t *testing.T) {
-	f := newFix(t)
-	n := f.kern.NumCells()
-	rng := rand.New(rand.NewSource(3))
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lo[i] = 0.9 + 0.3*rng.Float64()
-		hi[i] = lo[i] * (0.8 + 0.05*rng.Float64())
-	}
-	minX, maxX := minMax(f.in.XUM)
-	probes := []float64{
-		minX + 0.25*(maxX-minX),
-		minX + 0.5*(maxX-minX),
-		minX + 0.75*(maxX-minX),
-	}
-	tm, err := ExtractThreshold(ThresholdInput{
-		View:    f.in.View,
-		ClockPS: f.in.ClockPS,
-		Axis:    f.in.XUM,
-		LoScale: lo,
-		HiScale: hi,
-		Probes:  probes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.NumSigs() == 0 {
-		t.Fatal("no signatures stored")
-	}
-	scale := make([]float64, n)
-	exact := func(bound float64) float64 {
-		for i := 0; i < n; i++ {
-			if f.in.XUM[i] <= bound {
-				scale[i] = hi[i]
-			} else {
-				scale[i] = lo[i]
-			}
-		}
-		return f.kern.Run(f.in.ClockPS, scale)
-	}
-	for _, b := range probes {
-		if gap := math.Abs(exact(b) - tm.EvalBound(b).CritPS); gap > 1e-6 {
-			t.Errorf("probe bound %g: gap %g, want exact", b, gap)
-		}
-	}
-	for frac := 0.1; frac < 1; frac += 0.1 {
-		b := minX + frac*(maxX-minX)
-		ex, got := exact(b), tm.EvalBound(b).CritPS
-		if got > ex+1e-6 {
-			t.Errorf("bound %g: composed %g exceeds exact %g", b, got, ex)
-		}
-		if got < 0.97*ex {
-			t.Errorf("bound %g: composed %g far below exact %g", b, got, ex)
-		}
 	}
 }
 

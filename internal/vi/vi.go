@@ -169,11 +169,6 @@ type Options struct {
 	// ForceSide overrides density-driven start-side selection (for
 	// the ablation study); nil = pick by density.
 	ForceSide *Side
-	// Check selects how candidate boundaries are verified: CheckExact
-	// (default) runs a full Monte Carlo batch per candidate, CheckModel
-	// composes per-sample threshold timing models and exact-verifies
-	// only the converged boundary.
-	Check CheckMode
 }
 
 func (o *Options) setDefaults() {
@@ -299,16 +294,6 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		return worst >= 0, nil
 	}
 
-	// The model-backed check prices boundary candidates against
-	// per-sample threshold models over the growth axis.
-	var axis []float64
-	if opts.Check == CheckModel {
-		axis = make([]float64, nl.NumCells())
-		for i := range axis {
-			axis[i] = axisPos(i)
-		}
-	}
-
 	prevFrac := 0.0
 	for k, pos := range scenarioPos {
 		// Binary search the smallest boundary fraction (not below
@@ -319,70 +304,33 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		islandCtx, span := obs.Start(ctx, fmt.Sprintf("vi.island/%d", k+1))
 		span.SetAttr("strategy", opts.Strategy)
 		span.SetAttr("pos", pos.Name)
-		checks := 0
-		frac := -1.0
-		if opts.Check == CheckModel {
-			ck, err := buildModelChecker(islandCtx, a, model, pos, &opts, axis, prevFrac*extent, opts.MaxFrac*extent)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			checks++
-			if ck.meets(opts.MaxFrac * extent) {
-				lo, hi := prevFrac, opts.MaxFrac
-				for hi-lo > opts.Granularity {
-					mid := (lo + hi) / 2
-					checks++
-					if ck.meets(mid * extent) {
-						hi = mid
-					} else {
-						lo = mid
-					}
-				}
-				// Composed slacks are optimistic: confirm the model's
-				// boundary with one exact batch, and fall back to the
-				// exact search below when confirmation fails.
-				ok, err := meets(islandCtx, hi, pos)
-				checks++
-				if err != nil {
-					span.End()
-					return nil, err
-				}
-				if ok {
-					frac = hi
-				}
-			}
-			span.SetAttr("model", frac >= 0)
+		lo, hi := prevFrac, opts.MaxFrac
+		ok, err := meets(islandCtx, hi, pos)
+		checks := 1
+		if err != nil {
+			span.End()
+			return nil, err
 		}
-		if frac < 0 {
-			lo, hi := prevFrac, opts.MaxFrac
-			ok, err := meets(islandCtx, hi, pos)
+		if !ok {
+			span.End()
+			return nil, flowerr.BadInputf("vi: %s slicing cannot compensate scenario %d (position %s) even at %.0f%% high-Vdd",
+				opts.Strategy, k+1, pos.Name, 100*opts.MaxFrac)
+		}
+		for hi-lo > opts.Granularity {
+			mid := (lo + hi) / 2
+			ok, err := meets(islandCtx, mid, pos)
 			checks++
 			if err != nil {
 				span.End()
 				return nil, err
 			}
-			if !ok {
-				span.End()
-				return nil, flowerr.BadInputf("vi: %s slicing cannot compensate scenario %d (position %s) even at %.0f%% high-Vdd",
-					opts.Strategy, k+1, pos.Name, 100*opts.MaxFrac)
+			if ok {
+				hi = mid
+			} else {
+				lo = mid
 			}
-			for hi-lo > opts.Granularity {
-				mid := (lo + hi) / 2
-				ok, err := meets(islandCtx, mid, pos)
-				checks++
-				if err != nil {
-					span.End()
-					return nil, err
-				}
-				if ok {
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
-			frac = hi
 		}
+		frac := hi
 		span.SetAttr("checks", checks)
 		span.SetAttr("frac", strconv.FormatFloat(frac, 'f', 4, 64))
 		span.End()

@@ -21,6 +21,18 @@ type Grid struct {
 	NY int
 }
 
+// Limits on the size of a field sweep. Each is far above what a useful
+// sweep needs; they keep one request from asking for more positions,
+// shard artifacts or histogram bins than a process can hold.
+const (
+	// MaxPositions bounds a plan's chip positions (a 64x64 grid).
+	MaxPositions = 4096
+	// MaxShards bounds the shard artifacts per position.
+	MaxShards = 64
+	// MaxAxisPoints bounds the yield-curve period axis.
+	MaxAxisPoints = 4096
+)
+
 // ParseGrid parses the "NXxNY" flag syntax shared by cmd/viyield and
 // the field_sweep job kind ("16x16", "8X4").
 func ParseGrid(s string) (Grid, error) {
@@ -34,7 +46,21 @@ func ParseGrid(s string) (Grid, error) {
 	if err1 != nil || err2 != nil || nx < 1 || ny < 1 {
 		return Grid{}, flowerr.BadInputf("yield: grid %q not of the form NXxNY with positive dimensions", s)
 	}
-	return Grid{NX: nx, NY: ny}, nil
+	g := Grid{NX: nx, NY: ny}
+	if err := g.checkSize(); err != nil {
+		return Grid{}, err
+	}
+	return g, nil
+}
+
+// checkSize rejects a grid of more than MaxPositions positions. Each
+// dimension is checked before the product, so the product cannot
+// overflow.
+func (g Grid) checkSize() error {
+	if g.NX > MaxPositions || g.NY > MaxPositions || g.NX*g.NY > MaxPositions {
+		return flowerr.BadInputf("yield: grid %dx%d exceeds %d positions", g.NX, g.NY, MaxPositions)
+	}
+	return nil
 }
 
 // String renders the flag syntax back.
@@ -161,8 +187,16 @@ type Plan struct {
 
 // Validate checks the plan's shape.
 func (p Plan) Validate() error {
-	if len(p.Positions) == 0 && (p.Grid.NX < 1 || p.Grid.NY < 1) {
-		return flowerr.BadInputf("yield: plan needs a grid (got %dx%d) or explicit positions", p.Grid.NX, p.Grid.NY)
+	if len(p.Positions) > MaxPositions {
+		return flowerr.BadInputf("yield: %d positions exceed %d", len(p.Positions), MaxPositions)
+	}
+	if len(p.Positions) == 0 {
+		if p.Grid.NX < 1 || p.Grid.NY < 1 {
+			return flowerr.BadInputf("yield: plan needs a grid (got %dx%d) or explicit positions", p.Grid.NX, p.Grid.NY)
+		}
+		if err := p.Grid.checkSize(); err != nil {
+			return err
+		}
 	}
 	if p.Samples < 2 {
 		return flowerr.BadInputf("yield: plan needs at least 2 samples per position, got %d", p.Samples)
@@ -173,8 +207,11 @@ func (p Plan) Validate() error {
 	if p.Shards > p.Samples {
 		return flowerr.BadInputf("yield: %d shards exceed %d samples per position", p.Shards, p.Samples)
 	}
-	if p.Axis.Points < 0 {
-		return flowerr.BadInputf("yield: negative axis points %d", p.Axis.Points)
+	if p.Shards > MaxShards {
+		return flowerr.BadInputf("yield: %d shards exceed %d per position", p.Shards, MaxShards)
+	}
+	if p.Axis.Points < 0 || p.Axis.Points > MaxAxisPoints {
+		return flowerr.BadInputf("yield: axis points %d outside 0..%d", p.Axis.Points, MaxAxisPoints)
 	}
 	seen := make(map[string]bool, len(p.Overlays))
 	for _, ov := range p.Overlays {

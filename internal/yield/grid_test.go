@@ -18,6 +18,7 @@ func TestParseGrid(t *testing.T) {
 		nx, ny int
 	}{
 		{"16x16", 16, 16}, {"8X4", 8, 4}, {" 1x3 ", 1, 3},
+		{"64x64", 64, 64}, {"4096x1", 4096, 1}, {"1x4096", 1, 4096},
 	} {
 		g, err := ParseGrid(tc.in)
 		if err != nil {
@@ -27,9 +28,12 @@ func TestParseGrid(t *testing.T) {
 			t.Errorf("%q -> %dx%d", tc.in, g.NX, g.NY)
 		}
 	}
-	for _, bad := range []string{"", "16", "0x4", "4x-1", "axb", "4x4x4"} {
-		if _, err := ParseGrid(bad); err == nil {
-			t.Errorf("%q accepted", bad)
+	for _, bad := range []string{"", "16", "0x4", "4x-1", "axb", "4x4x4",
+		"65x64", "4097x1", "100000x100000",
+		// Each side fits an int but the product overflows it.
+		"4294967296x4294967296", "99999999999999999999x1"} {
+		if _, err := ParseGrid(bad); !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("%q: error %v, want ErrBadInput", bad, err)
 		}
 	}
 }
@@ -120,10 +124,27 @@ func TestPlanValidate(t *testing.T) {
 			Overlays: []PosOverlay{{Pos: "r0c0", RMM: 1}, {Pos: "r0c0", RMM: 2}}}, // dup overlay
 		{Grid: Grid{4, 4}, Samples: 100, Shards: 4,
 			Overlays: []PosOverlay{{Pos: "r0c0", RMM: 0}}}, // zero radius
+		{Grid: Grid{65, 64}, Samples: 100, Shards: 4},                                       // > MaxPositions
+		{Grid: Grid{100000, 100000}, Samples: 100, Shards: 4},                               // 10^10 positions
+		{Grid: Grid{math.MaxInt/2 + 1, 4}, Samples: 100, Shards: 4},                         // product overflows
+		{Positions: make([]variation.Pos, MaxPositions+1), Samples: 100, Shards: 4},         // explicit, too many
+		{Grid: Grid{4, 4}, Samples: 1000, Shards: MaxShards + 1},                            // > MaxShards
+		{Grid: Grid{4, 4}, Samples: 100, Shards: 4, Axis: CurveAxis{Points: math.MaxInt32}}, // huge histogram
+		{Grid: Grid{4, 4}, Samples: 100, Shards: 4, Axis: CurveAxis{Points: MaxAxisPoints + 1}},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad plan %d accepted", i)
+		if err := p.Validate(); !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("bad plan %d: error %v, want ErrBadInput", i, err)
+		}
+	}
+	// The largest plans inside every limit.
+	for i, p := range []Plan{
+		{Grid: Grid{64, 64}, Samples: 100, Shards: 4, Axis: CurveAxis{Points: MaxAxisPoints}},
+		{Grid: Grid{4096, 1}, Samples: 100, Shards: MaxShards},
+		{Positions: make([]variation.Pos, MaxPositions), Samples: 100, Shards: 4},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("plan %d at the limits: %v", i, err)
 		}
 	}
 }
