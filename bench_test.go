@@ -122,7 +122,7 @@ func BenchmarkSection42Timing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep = f.STA.Run(f.ClockPS, nil)
 	}
-	ex := rep.PerStage[netlist.StageExecute]
+	ex := rep.Lanes[netlist.StageExecute]
 	var worst sta.Endpoint
 	for _, ep := range rep.Endpoints {
 		if ep.Inst == ex.Endpoint {

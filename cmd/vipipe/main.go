@@ -88,7 +88,7 @@ func timingReport(f *vipipe.Flow) {
 	fmt.Printf("cells=%d area=%.0fum2 fmax=%.1fMHz (paper: 256MHz, 314638um2)\n",
 		ds.Cells, ds.AreaUM2, f.FmaxMHz)
 	rep := f.STA.Run(f.ClockPS, f.Derate)
-	ex := rep.PerStage[netlist.StageExecute]
+	ex := rep.Lanes[netlist.StageExecute]
 	var worst sta.Endpoint
 	for _, ep := range rep.Endpoints {
 		if ep.Inst == ex.Endpoint {

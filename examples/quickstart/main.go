@@ -49,7 +49,7 @@ func main() {
 
 	// Critical-path composition (Section 4.2: forwarding 22%, ALU 60%).
 	rep := flow.STA.Run(flow.ClockPS, flow.Derate)
-	ex := rep.PerStage[netlist.StageExecute]
+	ex := rep.Lanes[netlist.StageExecute]
 	var worst sta.Endpoint
 	for _, ep := range rep.Endpoints {
 		if ep.Inst == ex.Endpoint {

@@ -131,15 +131,6 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	if opts.Samples < 2 {
 		return nil, flowerr.BadInputf("mc: need at least 2 samples, got %d", opts.Samples)
 	}
-	if opts.ClockPS <= 0 {
-		return nil, flowerr.BadInputf("mc: clock period %g must be positive", opts.ClockPS)
-	}
-	if opts.Derate != nil && len(opts.Derate) != a.NL.NumCells() {
-		return nil, flowerr.BadInputf("mc: derate length %d != %d cells", len(opts.Derate), a.NL.NumCells())
-	}
-	if opts.Domains != nil && len(opts.Domains) != a.NL.NumCells() {
-		return nil, flowerr.BadInputf("mc: domains length %d != %d cells", len(opts.Domains), a.NL.NumCells())
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -157,8 +148,17 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	span.SetAttr("samples", opts.Samples)
 	span.SetAttr("workers", workers)
 
-	nCells := a.NL.NumCells()
-	tech := &a.NL.Lib.Tech
+	// One sample core per worker; the forks share the position's
+	// systematic gate-length map and the bracket tables. They are all
+	// forked before any worker draws.
+	core, err := NewChip(sta.NewKernel(a), a.PL, &a.NL.Lib.Tech, model, pos, opts.Seed, opts.ClockPS, opts.Derate, opts.Domains)
+	if err != nil {
+		return nil, err
+	}
+	chips := []*Chip{core}
+	for len(chips) < workers {
+		chips = append(chips, core.Fork())
+	}
 
 	// Per-sample outcomes live in flat structure-of-arrays storage —
 	// one slot per sample index, workers write disjoint slots — so the
@@ -178,29 +178,13 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 		outs.stageWorst[s] = make([]int32, opts.Samples)
 	}
 
-	sampler := model.NewSampler(a.PL, pos, opts.Seed)
-	bounds := tech.ScaleBounds()
 	var wg sync.WaitGroup
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, chip := range chips {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns a kernel (the SoA fast path shares the
-			// analyzer's characterized tables), a fork of the chip
-			// sampler and reusable sample buffers. A sample is
-			// bracketed, bounded and refined: the kernel asks exact for
-			// the few cells that can still set the frame, and the
-			// result equals RunFrame on the exact scales.
-			kern := sta.NewKernel(a)
 			frame := &sta.Frame{}
-			smp := sampler.Fork()
-			lg := make([]float64, nCells)
-			lo, hi := make([]float64, nCells), make([]float64, nCells)
-			scaler := tech.SampleScaler()
-			exact := func(cells []int32, out []float64) {
-				scaler.ScaleCells(out, cells, lg, opts.Derate, opts.Domains)
-			}
 			// sample is split out so a recovered panic discards one
 			// chip instance, not the worker's whole queue.
 			sample := func(k int) {
@@ -214,10 +198,8 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 				if opts.hookSample != nil {
 					opts.hookSample(k)
 				}
-				smp.Draw(k, lg)
-				bounds.Bracket(lo, hi, lg, opts.Derate, opts.Domains)
-				kern.Bound(lo, hi)
-				kern.Frame(frame, opts.ClockPS, exact)
+				chip.Sample(k)
+				chip.Frame(frame)
 				outs.crit[k] = frame.CritPS
 				mask := uint8(0)
 				for st := range frame.Lanes {

@@ -219,41 +219,6 @@ func TestLessSignedProperty(t *testing.T) {
 	}
 }
 
-func TestBarrelShifter(t *testing.T) {
-	for _, mode := range []ShiftMode{ShiftLeft, ShiftRightLogical, ShiftRightArith} {
-		b := builder()
-		x := b.InputWord("x", 16)
-		amt := b.InputWord("amt", 4)
-		out := BarrelShifter(b, x, amt, mode)
-		s := sim(t, b.NL)
-		for _, v := range []uint64{0x8001, 0xFFFF, 0x1234, 0x8000} {
-			for sh := uint64(0); sh < 16; sh++ {
-				s.SetPIWord(x, v)
-				s.SetPIWord(amt, sh)
-				s.Eval()
-				var want uint64
-				switch mode {
-				case ShiftLeft:
-					want = (v << sh) & 0xFFFF
-				case ShiftRightLogical:
-					want = v >> sh
-				case ShiftRightArith:
-					want = uint64(uint16(int16(v) >> sh))
-				}
-				if got := s.Word(out); got != want {
-					t.Errorf("%v %#x >> %d = %#x, want %#x", mode, v, sh, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestShiftModeString(t *testing.T) {
-	if ShiftLeft.String() != "SLL" || ShiftRightArith.String() != "SRA" || ShiftMode(9).String() != "SHIFT(9)" {
-		t.Error("shift mode names wrong")
-	}
-}
-
 func TestArrayMultiplier8x8(t *testing.T) {
 	b := builder()
 	x := b.InputWord("x", 8)

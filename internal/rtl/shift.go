@@ -6,31 +6,6 @@ import (
 	"vipipe/internal/netlist"
 )
 
-// ShiftMode selects the barrel-shifter operation.
-type ShiftMode uint8
-
-const (
-	// ShiftLeft is a logical left shift (zero fill).
-	ShiftLeft ShiftMode = iota
-	// ShiftRightLogical is a logical right shift (zero fill).
-	ShiftRightLogical
-	// ShiftRightArith is an arithmetic right shift (sign fill).
-	ShiftRightArith
-)
-
-func (m ShiftMode) String() string {
-	switch m {
-	case ShiftLeft:
-		return "SLL"
-	case ShiftRightLogical:
-		return "SRL"
-	case ShiftRightArith:
-		return "SRA"
-	default:
-		return fmt.Sprintf("SHIFT(%d)", uint8(m))
-	}
-}
-
 // ShifterDyn emits a direction-programmable barrel shifter: when right
 // is 0 the output is x << amt (zero fill); when right is 1 the output
 // is x >> amt with vacated bits filled from the fill net (drive it
@@ -75,52 +50,6 @@ func leftBarrel(b *netlist.Builder, x netlist.Word, amt netlist.Word, fill int) 
 			} else {
 				shifted[i] = fill
 			}
-		}
-		cur = b.MuxWord(cur, shifted, amt[k])
-	}
-	return cur
-}
-
-// BarrelShifter emits a logarithmic barrel shifter: stage k shifts by
-// 2^k when amt[k] is set. amt must have exactly log2(len(x)) bits and
-// len(x) must be a power of two.
-func BarrelShifter(b *netlist.Builder, x netlist.Word, amt netlist.Word, mode ShiftMode) netlist.Word {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("rtl: barrel shifter width %d not a power of two", n))
-	}
-	stages := 0
-	for 1<<stages < n {
-		stages++
-	}
-	if len(amt) != stages {
-		panic(fmt.Sprintf("rtl: barrel shifter needs %d amount bits, got %d", stages, len(amt)))
-	}
-	fill := b.Const(false)
-	if mode == ShiftRightArith {
-		fill = MSB(x)
-	}
-	cur := append(netlist.Word(nil), x...)
-	for k := 0; k < stages; k++ {
-		sh := 1 << k
-		shifted := make(netlist.Word, n)
-		for i := 0; i < n; i++ {
-			var src int
-			switch mode {
-			case ShiftLeft:
-				if i >= sh {
-					src = cur[i-sh]
-				} else {
-					src = fill
-				}
-			default: // right shifts
-				if i+sh < n {
-					src = cur[i+sh]
-				} else {
-					src = fill
-				}
-			}
-			shifted[i] = src
 		}
 		cur = b.MuxWord(cur, shifted, amt[k])
 	}

@@ -16,6 +16,7 @@ import (
 	"vipipe/internal/service/wire"
 	"vipipe/internal/tmodel"
 	"vipipe/internal/variation"
+	"vipipe/internal/vexsim"
 	"vipipe/internal/vi"
 	"vipipe/internal/yield"
 )
@@ -225,12 +226,29 @@ func (e *Engine) graph(cfg vipipe.Config) *pipeline.Graph {
 // Validate checks a request without running it, so frontends can
 // reject malformed submissions synchronously with ErrBadInput.
 func (e *Engine) Validate(req Request) error {
+	_, err := resolve(req)
+	return err
+}
+
+// resolve validates a request and returns its flow configuration,
+// resolved once: ToConfig rebuilds the variation model, a fraction of a
+// millisecond per call, on every request.
+func resolve(req Request) (vipipe.Config, error) {
 	if err := req.Config.Validate(); err != nil {
-		return err
+		return vipipe.Config{}, err
 	}
+	cfg := req.Config.ToConfig()
+	if err := vexsim.ValidateFIR(cfg.Core, cfg.FIRSamples, cfg.FIRTaps); err != nil {
+		return vipipe.Config{}, err
+	}
+	return cfg, validateKind(req, cfg)
+}
+
+// validateKind checks the kind-specific fields of a request.
+func validateKind(req Request, cfg vipipe.Config) error {
 	switch req.Kind {
 	case "characterize", "chipwide_power":
-		_, err := parsePos(req.Config.ToConfig(), req.Position)
+		_, err := parsePos(cfg, req.Position)
 		return err
 	case "islands":
 		_, err := parseStrategy(req.Strategy)
@@ -245,16 +263,16 @@ func (e *Engine) Validate(req Request) error {
 		if req.Scenario < 0 || req.Scenario > 3 {
 			return flowerr.BadInputf("service: scenario %d out of range 0..3", req.Scenario)
 		}
-		_, err := parsePos(req.Config.ToConfig(), req.Position)
+		_, err := parsePos(cfg, req.Position)
 		return err
 	case "field_sweep":
-		_, err := fieldPlan(req, req.Config.ToConfig())
+		_, err := fieldPlan(req, cfg)
 		return err
 	case "whatif":
 		if _, err := parseStrategy(req.Strategy); err != nil {
 			return err
 		}
-		if _, err := parsePos(req.Config.ToConfig(), req.Position); err != nil {
+		if _, err := parsePos(cfg, req.Position); err != nil {
 			return err
 		}
 		if len(req.Queries) == 0 {
@@ -326,10 +344,10 @@ func fieldPlan(req Request, cfg vipipe.Config) (yield.Plan, error) {
 // graph artifact (sweep batches several); the graph schedules the
 // missing parts of the dependency closure concurrently.
 func (e *Engine) Run(ctx context.Context, req Request) (any, error) {
-	if err := e.Validate(req); err != nil {
+	cfg, err := resolve(req)
+	if err != nil {
 		return nil, err
 	}
-	cfg := req.Config.ToConfig()
 	g := e.graph(cfg)
 	switch req.Kind {
 	case "characterize":

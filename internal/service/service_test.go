@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -175,6 +176,8 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 		{"mc_samples 2^40", `{"kind":"characterize","position":"A","config":{"small":true,"mc_samples":1099511627776}}`, 400},
 		{"vi_samples 2^40", `{"kind":"islands","strategy":"vertical","config":{"small":true,"vi_samples":1099511627776}}`, 400},
 		{"mc_samples past the limit", fmt.Sprintf(`{"kind":"drc","config":{"small":true,"mc_samples":%d}}`, MaxSamples+1), 400},
+		{"fir_samples MaxInt", fmt.Sprintf(`{"kind":"chipwide_power","position":"A","config":{"small":true,"fir_samples":%d,"fir_taps":2}}`, math.MaxInt), 400},
+		{"fir_taps MaxInt", fmt.Sprintf(`{"kind":"chipwide_power","position":"A","config":{"fir_taps":%d}}`, math.MaxInt), 400},
 		{"garbage", `{nope`, 400},
 	}
 	for _, tc := range cases {

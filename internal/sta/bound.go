@@ -233,10 +233,10 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// required is a flop's required time at scale s: the clock less its
+// required is a flop's required time at scale sc: the clock less its
 // scaled setup.
-func (k *Kernel) required(clockPS float64, i int, s float64) float64 {
-	return clockPS - k.setup[i]*s
+func (s *shape) required(clockPS float64, i int, sc float64) float64 {
+	return clockPS - s.setup[i]*sc
 }
 
 // Crit returns the critical path of the bounded sample, bit-identical
@@ -248,7 +248,7 @@ func (k *Kernel) Crit(clockPS float64, exact ExactFunc) float64 {
 	}
 	b := k.bnd
 	neg := math.Inf(-1)
-	// The largest lower bound of critical's endpoint expression.
+	// The largest lower bound of the endpoint scan's crit expression.
 	maxLo := 0.0
 	for _, i := range k.seq {
 		n := k.in0[i]
@@ -278,7 +278,8 @@ func (k *Kernel) Crit(clockPS float64, exact ExactFunc) float64 {
 		}
 	}
 	k.refine(e, exact)
-	// critical over the candidates: flops in ascending order, then POs.
+	// The endpoint scan's crit over the candidates: flops in ascending
+	// order, then POs.
 	crit := 0.0
 	for j := b.nComb; j < len(b.cells); j++ {
 		i := int(b.cells[j])

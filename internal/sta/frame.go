@@ -6,8 +6,7 @@ import (
 	"vipipe/internal/netlist"
 )
 
-// StageLane is one pipeline stage's endpoint summary inside a Frame:
-// the structure-of-arrays counterpart of StageTiming.
+// StageLane is one pipeline stage's endpoint summary inside a Frame.
 type StageLane struct {
 	Stage      netlist.Stage
 	WorstSlack float64
@@ -16,15 +15,13 @@ type StageLane struct {
 	Endpoints  int
 }
 
-// Frame is the batch-friendly endpoint summary of one timing
-// evaluation: fixed-size per-stage lanes instead of RunInto's
-// per-sample map bookkeeping, so Monte Carlo loops can store sample
-// outcomes in flat arrays. All float results replicate RunInto's
-// addEndpoint expression sequence operation for operation and are
-// bit-identical to the corresponding Report fields.
+// Frame is the endpoint summary of one timing evaluation: fixed-size
+// per-stage lanes, so Monte Carlo loops can store sample outcomes in
+// flat arrays. Kernel.RunFrame fills one directly; a Report embeds the
+// one Analyzer.RunInto fills.
 type Frame struct {
 	ClockPS    float64
-	CritPS     float64
+	CritPS     float64 // minimum feasible clock period (max arrival + setup)
 	WorstSlack float64
 	// Lanes is indexed by stage; Present marks stages that have at
 	// least one constrained endpoint (structural: the set does not
@@ -32,49 +29,54 @@ type Frame struct {
 	Lanes   [netlist.NumStages]StageLane
 	Present [netlist.NumStages]bool
 	// Violators lists the flop instances with negative slack, in
-	// ascending instance order (primary outputs are excluded, exactly
-	// like the violator scan over Report.Endpoints).
+	// ascending instance order (primary outputs are excluded).
 	Violators []int32
 }
 
 // RunFrame performs a full timing analysis and summarizes every
-// endpoint into f. The per-stage worst slack/arrival/endpoint, the
-// global worst slack and CritPS are bit-identical to the Report an
-// Analyzer.RunInto call produces for the same clock and scale.
+// endpoint into f. The frame is bit-identical to the one an
+// Analyzer.RunInto call reports for the same clock and scale.
 func (k *Kernel) RunFrame(f *Frame, clockPS float64, scale []float64) {
-	k.propagate(scale)
-	k.endpoints(f, clockPS, scale)
+	k.propagate(k.arrivals(), scale)
+	k.endpoints(f, nil, k.arr, clockPS, scale)
 }
 
-// endpoints evaluates every endpoint against the retained arrivals
-// into f. Flop D pins are scanned in ascending instance order, then
-// primary outputs — the same order RunInto appends Endpoints — so
-// tie-breaking on equal slacks matches too.
-func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
-	arr := k.arr
+// endpoints evaluates every endpoint against the arrivals arr into f
+// and, when eps is non-nil, appends each constrained endpoint to it.
+// Flop D pins are scanned in ascending instance order, then primary
+// outputs, so tie-breaking on equal slacks follows that order.
+// Endpoint arithmetic keeps the clock-relative form: a flop's crit is
+// t + (clock - need), not t + setup, which rounds differently.
+func (s *shape) endpoints(f *Frame, eps *[]Endpoint, arr []float64, clockPS float64, scale []float64) {
 	neg := math.Inf(-1)
 	f.reset(clockPS)
-	for _, i := range k.seq {
-		need := k.required(clockPS, i, scale[i])
-		n := k.in0[i]
-		t := arr[n] + k.wire[n]
+	for _, i := range s.seq {
+		need := s.required(clockPS, i, scale[i])
+		n := s.in0[i]
+		t := arr[n] + s.wire[n]
 		if t == neg {
 			continue // constant path: unconstrained
 		}
 		slack := need - t
-		f.count(k.stage[i])
-		f.observe(i, t, need, slack, k.stage[i])
+		f.count(s.stage[i])
+		f.observe(i, t, need, slack, s.stage[i])
 		if slack < 0 {
 			f.Violators = append(f.Violators, int32(i))
 		}
+		if eps != nil {
+			*eps = append(*eps, Endpoint{Inst: i, Net: int(n), Stage: s.stage[i], Arrival: t, Slack: slack})
+		}
 	}
-	for _, n := range k.pos {
-		t := arr[n] + k.wire[n]
+	for _, n := range s.pos {
+		t := arr[n] + s.wire[n]
 		if t == neg {
 			continue
 		}
 		f.count(netlist.StageNone)
 		f.observe(netlist.NoInst, t, clockPS, clockPS-t, netlist.StageNone)
+		if eps != nil {
+			*eps = append(*eps, Endpoint{Inst: netlist.NoInst, Net: n, Stage: netlist.StageNone, Arrival: t, Slack: clockPS - t})
+		}
 	}
 }
 
@@ -117,7 +119,8 @@ func (f *Frame) observe(inst int, t, need, slack float64, stage netlist.Stage) {
 // KernelView is a read-only handle on the analyzer a kernel times,
 // for model extractors (internal/tmodel) that time the design through
 // the analyzer's own functions: RunInto, CriticalPath and a kernel's
-// RunFrame.
+// RunFrame. The Monte Carlo sample core (internal/mc) builds its
+// forks' kernels from it.
 type KernelView struct{ a *Analyzer }
 
 // Analyzer returns the analyzer behind the view; nil for a zero view.

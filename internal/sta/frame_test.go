@@ -35,18 +35,17 @@ func TestFrameMatchesReport(t *testing.T) {
 			t.Fatalf("trial %d: WorstSlack %v != %v", trial, f.WorstSlack, rep.WorstSlack)
 		}
 		for st := netlist.Stage(0); st < netlist.NumStages; st++ {
-			want := rep.PerStage[st]
-			if (want != nil) != f.Present[st] {
-				t.Fatalf("trial %d stage %v: present %v, report %v", trial, st, f.Present[st], want != nil)
+			if rep.Present[st] != f.Present[st] {
+				t.Fatalf("trial %d stage %v: present %v, report %v", trial, st, f.Present[st], rep.Present[st])
 			}
-			if want == nil {
+			if !rep.Present[st] {
 				continue
 			}
-			lane := f.Lanes[st]
+			lane, want := f.Lanes[st], rep.Lanes[st]
 			if math.Float64bits(lane.WorstSlack) != math.Float64bits(want.WorstSlack) ||
 				math.Float64bits(lane.WorstArr) != math.Float64bits(want.WorstArr) ||
 				lane.Endpoint != want.Endpoint || lane.Endpoints != want.Endpoints {
-				t.Fatalf("trial %d stage %v: lane %+v != %+v", trial, st, lane, *want)
+				t.Fatalf("trial %d stage %v: lane %+v != %+v", trial, st, lane, want)
 			}
 		}
 		var wantViol []int32

@@ -8,12 +8,11 @@ import (
 
 // Kernel is the structure-of-arrays fast path for Monte Carlo inner
 // loops: it re-times the netlist with zero per-sample allocation and
-// returns only the scalar the sampling engines need — the critical
-// path length — instead of materializing a full Report. Arrival
-// propagation, endpoint evaluation and the per-instance scale
-// application replicate Analyzer.RunInto operation for operation, so
-// a Kernel critical path is bit-identical to Report.CritPS for the
-// same clock and scale vector.
+// returns only what the sampling engines need — the critical path
+// length, or a Frame — instead of materializing a full Report. It runs
+// the same arrival walk and endpoint scan as Analyzer.RunInto, so its
+// results are bit-identical to the Report's for the same clock and
+// scale vector.
 //
 // Rerun is the incremental half: after a full Run, a sparse set of
 // cells with changed scales re-propagates only the affected cone of
@@ -34,6 +33,7 @@ type Kernel struct {
 	shape
 
 	arr   []float64
+	frame Frame // Run's and Rerun's endpoint summary
 	mark  []uint32
 	epoch uint32
 
@@ -49,9 +49,10 @@ type shape struct {
 	setup []float64 // nominal setup times (shared)
 	wire  []float64 // per-net wire delays (shared)
 
-	pis []int // primary-input nets (shared)
-	pos []int // primary-output nets (shared)
-	seq []int // sequential instances, index order
+	pis  []int     // primary-input nets (shared)
+	pos  []int     // primary-output nets (shared)
+	seq  []int     // sequential instances, index order
+	ones []float64 // the nominal scale vector: x*1 == x, so it times nil scales
 
 	out   []int32 // driven net per instance
 	in0   []int32 // first input net per instance (endpoint net of a flop)
@@ -74,13 +75,20 @@ type shape struct {
 // the analyzer (Refresh) orphans the kernel, so build kernels after
 // the netlist is final.
 func NewKernel(a *Analyzer) *Kernel {
+	s := a.timingShape()
+	return &Kernel{shape: *s, mark: make([]uint32, len(s.out))}
+}
+
+// timingShape returns the analyzer's flattened timing structure,
+// built on first use.
+func (a *Analyzer) timingShape() *shape {
 	s := a.shape.Load()
 	if s == nil {
 		// Concurrent first calls may both build; the shapes are equal.
 		s = newShape(a)
 		a.shape.Store(s)
 	}
-	return &Kernel{shape: *s, mark: make([]uint32, len(s.out))}
+	return s
 }
 
 func newShape(a *Analyzer) *shape {
@@ -101,11 +109,13 @@ func newShape(a *Analyzer) *shape {
 		isSeq: make([]bool, nCells),
 		stage: make([]netlist.Stage, nCells),
 		inPtr: make([]int32, nCells+1),
+		ones:  make([]float64, nCells),
 	}
 	nIn := 0
 	for i := 0; i < nCells; i++ {
 		inst := &nl.Insts[i]
 		c := nl.Cell(i)
+		k.ones[i] = 1
 		k.out[i] = int32(inst.Out)
 		if len(inst.Inputs) > 0 {
 			k.in0[i] = int32(inst.Inputs[0])
@@ -159,8 +169,8 @@ func (k *Kernel) NumCells() int { return len(k.out) }
 // the same clock and scale. scale must have NumCells entries. The
 // arrival state is retained for a subsequent Rerun.
 func (k *Kernel) Run(clockPS float64, scale []float64) float64 {
-	k.propagate(scale)
-	return k.critical(clockPS, scale)
+	k.RunFrame(&k.frame, clockPS, scale)
+	return k.frame.CritPS
 }
 
 // arrivals returns the retained arrival buffer, allocated on first
@@ -172,67 +182,35 @@ func (k *Kernel) arrivals() []float64 {
 	return k.arr
 }
 
-// propagate performs the full arrival propagation for a scale vector,
-// leaving the result in the retained arrival buffer.
-func (k *Kernel) propagate(scale []float64) {
-	arr := k.arrivals()
+// propagate performs the full arrival propagation for a scale vector
+// into arr, one entry per net.
+func (s *shape) propagate(arr, scale []float64) {
 	neg := math.Inf(-1)
 	for n := range arr {
 		arr[n] = neg
 	}
-	for _, n := range k.pis {
+	for _, n := range s.pis {
 		arr[n] = 0
 	}
-	for _, i := range k.seq {
-		arr[k.out[i]] = k.base[i] * scale[i]
+	for _, i := range s.seq {
+		arr[s.out[i]] = s.base[i] * scale[i]
 	}
-	for _, i := range k.order {
-		if k.isTie[i] {
+	for _, i := range s.order {
+		if s.isTie[i] {
 			continue
 		}
 		worst := neg
-		for _, n := range k.inNet[k.inPtr[i]:k.inPtr[i+1]] {
-			if t := arr[n] + k.wire[n]; t > worst {
+		for _, n := range s.inNet[s.inPtr[i]:s.inPtr[i+1]] {
+			if t := arr[n] + s.wire[n]; t > worst {
 				worst = t
 			}
 		}
 		if worst == neg {
-			arr[k.out[i]] = neg
+			arr[s.out[i]] = neg
 			continue
 		}
-		arr[k.out[i]] = worst + k.base[i]*scale[i]
+		arr[s.out[i]] = worst + s.base[i]*scale[i]
 	}
-}
-
-// critical evaluates every endpoint against the retained arrivals,
-// replicating the exact float expression sequence of RunInto's
-// addEndpoint (including the need double-subtraction — which is not
-// algebraically simplifiable without changing bits).
-func (k *Kernel) critical(clockPS float64, scale []float64) float64 {
-	arr := k.arr
-	neg := math.Inf(-1)
-	crit := 0.0
-	for _, i := range k.seq {
-		need := k.required(clockPS, i, scale[i])
-		n := k.in0[i]
-		t := arr[n] + k.wire[n]
-		if t == neg {
-			continue
-		}
-		if c := t + (clockPS - need); c > crit {
-			crit = c
-		}
-	}
-	for _, n := range k.pos {
-		t := arr[n] + k.wire[n]
-		if t == neg {
-			continue
-		}
-		if c := t + (clockPS - clockPS); c > crit {
-			crit = c
-		}
-	}
-	return crit
 }
 
 // Rerun updates the retained analysis after a sparse scale change and
@@ -280,7 +258,8 @@ func (k *Kernel) Rerun(clockPS float64, scale []float64, dirty []int) float64 {
 			k.markSinks(k.out[i], e)
 		}
 	}
-	return k.critical(clockPS, scale)
+	k.endpoints(&k.frame, nil, arr, clockPS, scale)
+	return k.frame.CritPS
 }
 
 // markSinks stamps the combinational non-tie loads of net n for

@@ -146,11 +146,8 @@ func (a *Analyzer) SlackRecoveryCtx(ctx context.Context, clockPS float64, target
 // would.
 func (a *Analyzer) requiredTimesInto(req []float64, rep *Report, scale []float64, tau func(*Endpoint) float64) {
 	nl := a.NL
-	sc := func(i int) float64 {
-		if scale == nil {
-			return 1
-		}
-		return scale[i]
+	if scale == nil {
+		scale = a.timingShape().ones
 	}
 	for i := range req {
 		req[i] = math.Inf(1)
@@ -159,7 +156,7 @@ func (a *Analyzer) requiredTimesInto(req []float64, rep *Report, scale []float64
 		ep := &rep.Endpoints[k]
 		t := tau(ep)
 		if ep.Inst != netlist.NoInst {
-			t -= a.setup[ep.Inst] * sc(ep.Inst)
+			t -= a.setup[ep.Inst] * scale[ep.Inst]
 		}
 		t -= a.wire[ep.Net]
 		if t < req[ep.Net] {
@@ -174,7 +171,7 @@ func (a *Analyzer) requiredTimesInto(req []float64, rep *Report, scale []float64
 		if math.IsInf(r, 1) {
 			continue
 		}
-		need := r - a.baseDelay[i]*sc(i)
+		need := r - a.baseDelay[i]*scale[i]
 		for _, n := range inst.Inputs {
 			if t := need - a.wire[n]; t < req[n] {
 				req[n] = t

@@ -36,15 +36,15 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 	nl := twoStage(5, 40)
 	a := analyze(t, nl)
 	nom := a.Run(1e9, nil) // huge clock: measure raw arrivals
-	clock := nom.PerStage[netlist.StageExecute].WorstArr * 1.02
+	clock := nom.Lanes[netlist.StageExecute].WorstArr * 1.02
 	targets := RecoveryTargets{
 		netlist.StageDecode:  0.95,
 		netlist.StageExecute: 1.0,
 	}
 	derate := a.SlackRecovery(clock, targets, 50, 30)
 	rep := a.Run(clock, derate)
-	dec := rep.PerStage[netlist.StageDecode].WorstArr
-	ex := rep.PerStage[netlist.StageExecute].WorstArr
+	dec := rep.Lanes[netlist.StageDecode].WorstArr
+	ex := rep.Lanes[netlist.StageExecute].WorstArr
 	// Decode was ~8x faster than execute; after recovery it must sit
 	// near 95% of the clock.
 	if dec < 0.85*clock {
@@ -54,8 +54,8 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 		t.Errorf("decode arr %.0f overshot the clock %.0f", dec, clock)
 	}
 	// Execute (the critical stage) must be essentially untouched.
-	if ex > nom.PerStage[netlist.StageExecute].WorstArr*1.05 {
-		t.Errorf("execute slowed from %.0f to %.0f", nom.PerStage[netlist.StageExecute].WorstArr, ex)
+	if ex > nom.Lanes[netlist.StageExecute].WorstArr*1.05 {
+		t.Errorf("execute slowed from %.0f to %.0f", nom.Lanes[netlist.StageExecute].WorstArr, ex)
 	}
 	// All derates are >= 1 (recovery never speeds cells up).
 	for i, f := range derate {
@@ -69,7 +69,7 @@ func TestSlackRecoveryRespectsMaxDerate(t *testing.T) {
 	nl := twoStage(2, 60)
 	a := analyze(t, nl)
 	nom := a.Run(1e9, nil)
-	clock := nom.PerStage[netlist.StageExecute].WorstArr
+	clock := nom.Lanes[netlist.StageExecute].WorstArr
 	derate := a.SlackRecovery(clock, DefaultRecoveryTargets(), 2.0, 30)
 	for i, f := range derate {
 		if f > 2.0+1e-9 {
@@ -78,7 +78,7 @@ func TestSlackRecoveryRespectsMaxDerate(t *testing.T) {
 	}
 	// With a tight cap the 2-inverter chain cannot reach the wall.
 	rep := a.Run(clock, derate)
-	if dec := rep.PerStage[netlist.StageDecode].WorstArr; dec > 0.6*clock {
+	if dec := rep.Lanes[netlist.StageDecode].WorstArr; dec > 0.6*clock {
 		t.Errorf("capped recovery reached %.0f of clock %.0f — cap ineffective", dec, clock)
 	}
 }
@@ -122,9 +122,9 @@ func TestVexRecoveryReproducesStageWall(t *testing.T) {
 	derate := a.SlackRecovery(clock, DefaultRecoveryTargets(), 12, 25)
 	rep := a.Run(clock, derate)
 
-	ex := rep.PerStage[netlist.StageExecute].WorstArr
-	dc := rep.PerStage[netlist.StageDecode].WorstArr
-	wb := rep.PerStage[netlist.StageWriteback].WorstArr
+	ex := rep.Lanes[netlist.StageExecute].WorstArr
+	dc := rep.Lanes[netlist.StageDecode].WorstArr
+	wb := rep.Lanes[netlist.StageWriteback].WorstArr
 	// Fig. 3 ordering: EX most critical, then DC, then WB, all close
 	// to the clock.
 	if !(ex > dc && dc > wb) {

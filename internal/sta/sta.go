@@ -16,7 +16,6 @@ package sta
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -37,7 +36,7 @@ type Analyzer struct {
 	setup     []float64 // nominal setup time per instance (flops only)
 	wire      []float64 // wire delay per net
 
-	shape atomic.Pointer[shape] // kernel structure, built by the first NewKernel
+	shape atomic.Pointer[shape] // timing structure of RunInto and every kernel, built on first use
 }
 
 // New prepares an analyzer for a placed netlist.
@@ -128,23 +127,13 @@ type Endpoint struct {
 	Slack   float64       // against the report's clock period
 }
 
-// StageTiming summarizes one pipeline stage.
-type StageTiming struct {
-	Stage      netlist.Stage
-	WorstSlack float64
-	WorstArr   float64
-	Endpoint   int // instance of the worst endpoint
-	Endpoints  int
-}
-
-// Report is the result of one timing analysis.
+// Report is the result of one timing analysis: the Frame summary
+// (clock, critical path, worst slack, per-stage lanes, violators) plus
+// the per-net arrivals and every constrained endpoint.
 type Report struct {
-	ClockPS    float64
-	Arrival    []float64 // per net, at the driver output pin
-	Endpoints  []Endpoint
-	WorstSlack float64
-	CritPS     float64 // minimum feasible clock period (max arrival + setup)
-	PerStage   map[netlist.Stage]*StageTiming
+	Frame
+	Arrival   []float64 // per net, at the driver output pin
+	Endpoints []Endpoint
 }
 
 // Run performs a full timing analysis at the given clock period.
@@ -156,111 +145,25 @@ func (a *Analyzer) Run(clockPS float64, scale []float64) *Report {
 	return rep
 }
 
-// RunInto is Run with caller-owned storage, for Monte Carlo loops.
+// RunInto is Run with caller-owned storage, for repeated analyses. It
+// runs the kernels' arrival walk and endpoint scan, so the report's
+// frame is bit for bit what Kernel.RunFrame computes.
 func (a *Analyzer) RunInto(rep *Report, clockPS float64, scale []float64) {
-	nl := a.NL
-	if cap(rep.Arrival) < nl.NumNets() {
-		rep.Arrival = make([]float64, nl.NumNets())
+	s := a.timingShape()
+	if scale == nil {
+		scale = s.ones
 	}
-	rep.Arrival = rep.Arrival[:nl.NumNets()]
-	rep.ClockPS = clockPS
+	rep.Arrival = grow(rep.Arrival, a.NL.NumNets())
+	s.propagate(rep.Arrival, scale)
 	rep.Endpoints = rep.Endpoints[:0]
-	arr := rep.Arrival
-
-	sc := func(i int) float64 {
-		if scale == nil {
-			return 1
-		}
-		return scale[i]
-	}
-
-	// Startpoints.
-	neg := math.Inf(-1)
-	for n := range arr {
-		arr[n] = neg
-	}
-	for _, n := range nl.PIs {
-		arr[n] = 0
-	}
-	for i := range nl.Insts {
-		c := nl.Cell(i)
-		switch {
-		case c.Sequential:
-			arr[nl.Insts[i].Out] = a.baseDelay[i] * sc(i)
-		case c.IsTie():
-			// Constants never switch: they do not launch paths.
-			arr[nl.Insts[i].Out] = neg
-		}
-	}
-
-	// Propagate through combinational logic in topological order.
-	for _, i := range a.order {
-		inst := &nl.Insts[i]
-		if nl.Cell(i).IsTie() {
-			continue
-		}
-		worst := neg
-		for _, n := range inst.Inputs {
-			if t := arr[n] + a.wire[n]; t > worst {
-				worst = t
-			}
-		}
-		if worst == neg {
-			arr[inst.Out] = neg
-			continue
-		}
-		arr[inst.Out] = worst + a.baseDelay[i]*sc(i)
-	}
-
-	// Endpoints: flop D pins and primary outputs.
-	rep.WorstSlack = math.Inf(1)
-	rep.CritPS = 0
-	rep.PerStage = make(map[netlist.Stage]*StageTiming)
-	addEndpoint := func(inst, net int, stage netlist.Stage, need float64) {
-		t := arr[net] + a.wire[net]
-		if t == neg {
-			return // constant path: unconstrained
-		}
-		slack := need - t
-		ep := Endpoint{Inst: inst, Net: net, Stage: stage, Arrival: t, Slack: slack}
-		rep.Endpoints = append(rep.Endpoints, ep)
-		if slack < rep.WorstSlack {
-			rep.WorstSlack = slack
-		}
-		if crit := t + (clockPS - need); crit > rep.CritPS {
-			rep.CritPS = crit
-		}
-		st := rep.PerStage[stage]
-		if st == nil {
-			st = &StageTiming{Stage: stage, WorstSlack: math.Inf(1)}
-			rep.PerStage[stage] = st
-		}
-		st.Endpoints++
-		if slack < st.WorstSlack {
-			st.WorstSlack = slack
-			st.WorstArr = t
-			st.Endpoint = inst
-		}
-	}
-	for i := range nl.Insts {
-		if nl.IsSequential(i) {
-			need := clockPS - a.setup[i]*sc(i)
-			addEndpoint(i, nl.Insts[i].Inputs[0], nl.Insts[i].Stage, need)
-		}
-	}
-	for _, n := range nl.POs {
-		addEndpoint(netlist.NoInst, n, netlist.StageNone, clockPS)
-	}
+	s.endpoints(&rep.Frame, &rep.Endpoints, rep.Arrival, clockPS, scale)
 }
 
 // CriticalPath backtracks the worst path into the given endpoint and
 // returns it startpoint-first.
 func (a *Analyzer) CriticalPath(rep *Report, ep Endpoint, scale []float64) []PathStep {
-	sc := func(i int) float64 {
-		if scale == nil {
-			return 1
-		}
-		return scale[i]
+	if scale == nil {
+		scale = a.timingShape().ones
 	}
 	var rev []PathStep
 	net := ep.Net
@@ -275,7 +178,7 @@ func (a *Analyzer) CriticalPath(rep *Report, ep Endpoint, scale []float64) []Pat
 			Inst:    drv,
 			Net:     net,
 			Unit:    inst.Unit,
-			DelayPS: a.baseDelay[drv] * sc(drv),
+			DelayPS: a.baseDelay[drv] * scale[drv],
 			WirePS:  a.wire[net],
 		})
 		if a.NL.IsSequential(drv) || a.NL.Cell(drv).IsTie() {
@@ -351,41 +254,4 @@ func FmaxMHz(critPS float64) float64 {
 		return math.Inf(1)
 	}
 	return 1e6 / critPS
-}
-
-// WorstEndpoints returns the n endpoints with the smallest slack,
-// worst first: the head of a PrimeTime-style timing report.
-func WorstEndpoints(rep *Report, n int) []Endpoint {
-	eps := append([]Endpoint(nil), rep.Endpoints...)
-	sort.Slice(eps, func(i, j int) bool { return eps[i].Slack < eps[j].Slack })
-	if n > 0 && len(eps) > n {
-		eps = eps[:n]
-	}
-	return eps
-}
-
-// ReportPaths renders the worst n timing paths in a compact textual
-// report: endpoint, stage, slack, and the per-unit delay composition
-// of each path.
-func (a *Analyzer) ReportPaths(rep *Report, scale []float64, n int) string {
-	var b strings.Builder
-	for rank, ep := range WorstEndpoints(rep, n) {
-		name := "(primary output)"
-		if ep.Inst != netlist.NoInst {
-			name = a.NL.Insts[ep.Inst].Name
-		}
-		fmt.Fprintf(&b, "#%d endpoint %s [%v]: arrival %.0fps slack %.0fps\n",
-			rank+1, name, ep.Stage, ep.Arrival, ep.Slack)
-		path := a.CriticalPath(rep, ep, scale)
-		br := PathBreakdown(path)
-		keys := make([]string, 0, len(br))
-		for k := range br {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return br[keys[i]] > br[keys[j]] })
-		for _, k := range keys {
-			fmt.Fprintf(&b, "    %-20s %7.0fps\n", k, br[k])
-		}
-	}
-	return b.String()
 }

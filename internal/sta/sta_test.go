@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"vipipe/internal/cell"
@@ -129,14 +128,19 @@ func TestScaleIsPerInstance(t *testing.T) {
 func TestPerStageGrouping(t *testing.T) {
 	a := analyze(t, pipe(8))
 	rep := a.Run(10000, nil)
-	if len(rep.PerStage) != 2 {
-		t.Fatalf("stages = %d, want 2 (decode, execute)", len(rep.PerStage))
+	present := 0
+	for _, p := range rep.Present {
+		if p {
+			present++
+		}
 	}
-	dec := rep.PerStage[netlist.StageDecode]
-	ex := rep.PerStage[netlist.StageExecute]
-	if dec == nil || ex == nil {
+	if present != 2 {
+		t.Fatalf("stages = %d, want 2 (decode, execute)", present)
+	}
+	if !rep.Present[netlist.StageDecode] || !rep.Present[netlist.StageExecute] {
 		t.Fatal("missing stage groups")
 	}
+	dec, ex := rep.Lanes[netlist.StageDecode], rep.Lanes[netlist.StageExecute]
 	// The input DFF (decode endpoint) is fed by a PI: short path.
 	// The execute endpoint sits behind the inverter chain.
 	if dec.WorstArr >= ex.WorstArr {
@@ -264,7 +268,7 @@ func TestVexCoreTimingSanity(t *testing.T) {
 	// All four stages must have endpoints; write-back owns the
 	// register file.
 	for _, st := range []netlist.Stage{netlist.StageFetch, netlist.StageDecode, netlist.StageExecute, netlist.StageWriteback} {
-		if rep.PerStage[st] == nil {
+		if !rep.Present[st] {
 			t.Errorf("no endpoints in %v", st)
 		}
 	}
@@ -273,33 +277,13 @@ func TestVexCoreTimingSanity(t *testing.T) {
 	}
 	// The execute stage should be the critical one in this
 	// microarchitecture (ripple ALU behind forwarding).
-	ex := rep.PerStage[netlist.StageExecute]
-	for st, v := range rep.PerStage {
-		if st == netlist.StageNone {
+	ex := rep.Lanes[netlist.StageExecute]
+	for st, v := range rep.Lanes {
+		if !rep.Present[st] || netlist.Stage(st) == netlist.StageNone {
 			continue
 		}
 		if v.WorstArr > ex.WorstArr+1e-9 {
 			t.Errorf("stage %v (%g ps) beats execute (%g ps)", st, v.WorstArr, ex.WorstArr)
 		}
-	}
-}
-
-func TestWorstEndpointsAndReportPaths(t *testing.T) {
-	a := analyze(t, pipe(12))
-	rep := a.Run(5000, nil)
-	eps := WorstEndpoints(rep, 2)
-	if len(eps) != 2 {
-		t.Fatalf("got %d endpoints", len(eps))
-	}
-	if eps[0].Slack > eps[1].Slack {
-		t.Error("not sorted worst-first")
-	}
-	all := WorstEndpoints(rep, 0)
-	if len(all) != len(rep.Endpoints) {
-		t.Error("n=0 should return all")
-	}
-	out := a.ReportPaths(rep, nil, 2)
-	if !strings.Contains(out, "#1 endpoint") || !strings.Contains(out, "slack") {
-		t.Errorf("report malformed:\n%s", out)
 	}
 }

@@ -323,8 +323,8 @@ func TestModelCoversAllStages(t *testing.T) {
 	for _, s := range m.Sigs {
 		covered[s.Stage] = true
 	}
-	for st, lane := range rep.PerStage {
-		if lane != nil && !covered[netlist.Stage(st)] {
+	for st, present := range rep.Present {
+		if present && !covered[netlist.Stage(st)] {
 			t.Errorf("stage %v constrained but not modeled", netlist.Stage(st))
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"math"
 	"strconv"
 
-	"vipipe/internal/cell"
 	"vipipe/internal/place"
 	"vipipe/internal/stats"
 )
@@ -188,9 +187,9 @@ func (m *Model) systematicLgates(pl *place.Placement, pos Pos) []float64 {
 	return sys
 }
 
-// Sampler draws the chips of a Monte Carlo run: every sample loop of
-// the flow (mc.Run, yield.ComputeShard, vi's model checker) gets its
-// per-cell gate lengths here. Sample k of a core at position pos draws
+// Sampler draws the chips of a Monte Carlo run: the flow's sample core
+// (mc.Chip, behind mc.Run and yield.ComputeShard) gets its per-cell
+// gate lengths here. Sample k of a core at position pos draws
 // from the stream DeriveStream(seed, "mc/<pos>/<k>"), so the engines
 // see the same chip for the same k and a run's statistics do not
 // depend on how its samples are split across workers or shards.
@@ -239,20 +238,6 @@ func (s *Sampler) Draw(k int, lg []float64) {
 	for i, sys := range s.sys {
 		lg[i] = sys + rng.Normal(0, s.sigma)
 	}
-}
-
-// LeakScales converts per-cell gate lengths and domains into leakage
-// multipliers relative to nominal (paper Eq. 4 through cell.Tech).
-func LeakScales(tech *cell.Tech, lgateNM []float64, domains []cell.Domain) []float64 {
-	out := make([]float64, len(lgateNM))
-	for i, lg := range lgateNM {
-		vdd := tech.VddLow
-		if domains != nil && domains[i] == cell.DomainHigh {
-			vdd = tech.VddHigh
-		}
-		out[i] = tech.LeakScale(vdd, lg)
-	}
-	return out
 }
 
 func clamp01(v float64) float64 {

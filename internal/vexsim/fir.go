@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vipipe/internal/flowerr"
 	"vipipe/internal/isa"
 	"vipipe/internal/stats"
 	"vipipe/internal/vex"
@@ -29,14 +30,35 @@ type FIR struct {
 	Cycles int        // cycle budget that retires the whole program
 }
 
+// ValidateFIR checks that a FIR benchmark of n samples and taps
+// coefficients fits the core: taps >= 2, n >= taps, and the x, h and y
+// arrays inside both data memory and the address space. Request
+// validation runs it at submit, and NewFIR before it builds anything.
+func ValidateFIR(cfg vex.Config, n, taps int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	// Bound n first, so the footprint sum below cannot overflow.
+	if taps < 2 || n < taps || n > DMemWords {
+		return flowerr.BadInputf("vexsim: need 2 <= taps <= n <= %d, got n=%d taps=%d", DMemWords, n, taps)
+	}
+	// y follows x (n words) and h (taps words) and holds n-taps+1 outputs.
+	end := (n + taps) + (n - taps + 1)
+	if end >= DMemWords {
+		return flowerr.BadInputf("vexsim: FIR footprint exceeds data memory")
+	}
+	// Addresses must be representable in the data width.
+	if int64(end) >= 1<<uint(cfg.Width) {
+		return flowerr.BadInputf("vexsim: FIR footprint exceeds %d-bit address space", cfg.Width)
+	}
+	return nil
+}
+
 // NewFIR builds the benchmark for a core configuration. Samples and
 // coefficients are drawn deterministically from seed.
 func NewFIR(cfg vex.Config, n, taps int, seed int64) (*FIR, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := ValidateFIR(cfg, n, taps); err != nil {
 		return nil, err
-	}
-	if taps < 2 || n < taps {
-		return nil, fmt.Errorf("vexsim: need taps >= 2 and n >= taps, got n=%d taps=%d", n, taps)
 	}
 	f := &FIR{
 		N: n, T: taps,
@@ -44,13 +66,6 @@ func NewFIR(cfg vex.Config, n, taps int, seed int64) (*FIR, error) {
 		HBase: uint64(n),
 		YBase: uint64(n + taps),
 		NOut:  n - taps + 1,
-	}
-	if int(f.YBase)+f.NOut >= DMemWords {
-		return nil, fmt.Errorf("vexsim: FIR footprint exceeds data memory")
-	}
-	// Addresses must be representable in the data width.
-	if int64(f.YBase)+int64(f.NOut) >= 1<<uint(cfg.Width) {
-		return nil, fmt.Errorf("vexsim: FIR footprint exceeds %d-bit address space", cfg.Width)
 	}
 
 	// Stimulus: half-width random samples, as the multiplier consumes

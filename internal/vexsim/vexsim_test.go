@@ -1,9 +1,12 @@
 package vexsim
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/flowerr"
 	"vipipe/internal/isa"
 	"vipipe/internal/vex"
 )
@@ -310,6 +313,11 @@ func TestNewFIRValidation(t *testing.T) {
 	if _, err := NewFIR(cfg, 200, 4, 1); err == nil {
 		t.Error("footprint beyond 8-bit addressing accepted")
 	}
+	for _, c := range []struct{ n, taps int }{{math.MaxInt, 2}, {math.MaxInt, math.MaxInt}, {DMemWords + 1, 2}} {
+		if _, err := NewFIR(vex.DefaultConfig(), c.n, c.taps, 1); !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("n=%d taps=%d: err %v, want bad input", c.n, c.taps, err)
+		}
+	}
 }
 
 func TestMachineValidation(t *testing.T) {
@@ -340,30 +348,5 @@ func TestMachineRunsPastProgramEnd(t *testing.T) {
 	}
 	if m.Cycle() != 100 {
 		t.Errorf("cycle = %d", m.Cycle())
-	}
-}
-
-func TestDotProductCoSim(t *testing.T) {
-	core := smallCore(t)
-	dp, err := NewDotProduct(core.Cfg, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, tb := coSim(t, core, dp.Prog, dp.DMem, dp.Cycles)
-	if !dp.Check(m.DMem) {
-		t.Errorf("reference dot product wrong: got %#x want %#x", m.DMem[int(dp.ROut)], dp.Expect)
-	}
-	if !dp.Check(tb.DMem) {
-		t.Errorf("netlist dot product wrong: got %#x want %#x", tb.DMem[int(dp.ROut)], dp.Expect)
-	}
-}
-
-func TestDotProductValidation(t *testing.T) {
-	cfg := vex.SmallConfig()
-	if _, err := NewDotProduct(cfg, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := NewDotProduct(cfg, 1000, 1); err == nil {
-		t.Error("oversized footprint accepted")
 	}
 }

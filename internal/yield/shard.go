@@ -5,6 +5,7 @@ import (
 
 	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
+	"vipipe/internal/mc"
 	"vipipe/internal/obs"
 	"vipipe/internal/place"
 	"vipipe/internal/sta"
@@ -26,8 +27,8 @@ type ShardInput struct {
 	// Pos is the chip position on the exposure field.
 	Pos variation.Pos
 	// Overlay, when non-nil, is the local disturbance whose perturbed
-	// statistics the shard also accumulates (via incremental
-	// re-timing of the disc cells).
+	// statistics the shard also accumulates (re-bounding only the disc
+	// cells' fanout, mc.Chip.Shift).
 	Overlay *PosOverlay
 	// Key is the position content key stamped into the stat.
 	Key string
@@ -51,23 +52,15 @@ type ShardInput struct {
 
 // ComputeShard runs the shard's Monte Carlo samples through the
 // kernel and folds them into a ShardStat. Chips come from the same
-// variation.Sampler and delay scaler as mc.Run, sample for sample, so
-// a one-shard sweep reproduces mc.Run's critical-path distribution
-// bit-for-bit. Each sample is timed bound-then-refine
-// (sta.Kernel.Crit): its critical path equals a full Run on the exact
-// scales.
+// sample core as mc.Run's workers (mc.Chip), sample for sample, so a
+// one-shard sweep reproduces mc.Run's critical-path distribution
+// bit-for-bit: each sample is timed bound-then-refine, and its
+// critical path equals a full Run on the exact scales.
 //
 // Cancellation is checked at every sample boundary; a cancelled shard
 // returns an error rather than a partial stat, because merge
 // invariance requires every shard to cover its exact sample range.
 func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
-	n := in.Kernel.NumCells()
-	if in.Derate != nil && len(in.Derate) != n {
-		return nil, flowerr.BadInputf("yield: derate length %d != %d cells", len(in.Derate), n)
-	}
-	if in.ClockPS <= 0 {
-		return nil, flowerr.BadInputf("yield: clock period %g must be positive", in.ClockPS)
-	}
 	axis := in.Axis.Normalize()
 
 	ctx, span := obs.Start(ctx, "yield.shard")
@@ -76,12 +69,10 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 	span.SetAttr("shard", in.Shard)
 	span.SetAttr("samples", in.Count)
 
-	// Per-shard invariants, hoisted out of the sample loop: the chip
-	// sampler (the position's systematic gate-length map), the delay
-	// scale brackets and the exact block scaler.
-	sampler := in.Model.NewSampler(in.PL, in.Pos, in.Seed)
-	bounds := in.Tech.ScaleBounds()
-	scaler := in.Tech.SampleScaler()
+	chip, err := mc.NewChip(in.Kernel, in.PL, in.Tech, in.Model, in.Pos, in.Seed, in.ClockPS, in.Derate, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// The overlay's dirty set: cells inside the disc, chip-local mm.
 	var dirty []int
@@ -89,7 +80,7 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 	if in.Overlay != nil {
 		deltaNM = in.Model.LnomNM * in.Overlay.DeltaFrac
 		r2 := in.Overlay.RMM * in.Overlay.RMM
-		for i := 0; i < n; i++ {
+		for i := 0; i < in.Kernel.NumCells(); i++ {
 			cx, cy := in.PL.Center(i)
 			dx := cx/1000 - in.Overlay.XMM
 			dy := cy/1000 - in.Overlay.YMM
@@ -111,36 +102,21 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 		stat.OvHist = NewHistogram(axis.LoPS, axis.HiPS, axis.Points)
 	}
 
-	// Each sample is bracketed, bounded and refined: the kernel asks
-	// exact for the few cells that can still set the critical path.
-	lg := make([]float64, n)
-	lo, hi := make([]float64, n), make([]float64, n)
-	exact := func(cells []int32, out []float64) { scaler.ScaleCells(out, cells, lg, in.Derate, nil) }
 	for k := in.Start; k < in.Start+in.Count; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, flowerr.Cancelledf(
 				"yield: shard %s/%d cancelled after %d/%d samples: %w",
 				in.Pos.Name, in.Shard, stat.Samples, in.Count, err)
 		}
-		sampler.Draw(k, lg)
-		bounds.Bracket(lo, hi, lg, in.Derate, nil)
-		in.Kernel.Bound(lo, hi)
-		crit := in.Kernel.Crit(in.ClockPS, exact)
+		chip.Sample(k)
+		crit := chip.Crit()
 		stat.Samples++
 		stat.Crit.Observe(crit)
 		stat.Hist.Observe(crit)
 
 		if len(dirty) > 0 {
-			for _, i := range dirty {
-				lg[i] += deltaNM
-				d := 1.0
-				if in.Derate != nil {
-					d = in.Derate[i]
-				}
-				lo[i], hi[i] = bounds.At(lg[i], d, cell.DomainLow)
-			}
-			in.Kernel.Rebound(lo, hi, dirty)
-			ovCrit := in.Kernel.Crit(in.ClockPS, exact)
+			chip.Shift(dirty, deltaNM)
+			ovCrit := chip.Crit()
 			stat.OvCrit.Observe(ovCrit)
 			stat.OvHist.Observe(ovCrit)
 		} else if in.Overlay != nil {

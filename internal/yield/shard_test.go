@@ -2,6 +2,7 @@ package yield
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"vipipe/internal/cell"
@@ -49,6 +50,10 @@ func smallShard(tb testing.TB, count int) ShardInput {
 // overlay's gathered dirty cells, with a derate — so a long shard
 // costs no more memory than a short one.
 func TestComputeShardNoPerSampleAllocs(t *testing.T) {
+	// Count with the collector off: the malloc count covers the whole
+	// process, and a GC cycle inside the measured window allocates on
+	// its own, so the count would follow GC timing, not samples.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	in := smallShard(t, 0)
 	in.Derate = make([]float64, in.Kernel.NumCells())
 	for i := range in.Derate {
