@@ -76,13 +76,16 @@ crash-it:
 # and writes benchstat-friendly output to BENCH_service.json (go test
 # -json stream; pipe `jq -r 'select(.Action=="output").Output'` into
 # benchstat, or read the Benchmark lines directly). bench-smoke is the
-# one-iteration ci variant: it proves the benchmark still compiles and
-# runs without paying measurement time.
+# one-iteration ci variant: it proves the benchmarks still compile and
+# run without paying measurement time, the service ones and the
+# Monte Carlo sample layers (bound, refine, a whole full-core sample,
+# the draw, a yield shard).
 bench:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
 
 bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield
 
 # The benchmark harness (bench/) is a module of its own, so the root
 # `go build ./...` never compiles it. bench-check vets and tests it

@@ -6,12 +6,15 @@ import (
 )
 
 // The ScaleBounds grid: L_j = L0 + j*boundStep with L0 = boundLo*LgateNM,
-// up to boundHi*LgateNM. One step moves DelayScale by ~4e-4 of its value
-// at 65nm, about ten orders of magnitude more than the few-ulp error of
-// the exact chain, so one bin of slack on each side of a cell's bin
-// encloses its exact scale.
+// up to boundHi*LgateNM (8,321 entries per supply at 65nm). One step
+// moves DelayScale by ~1e-4 of its value at 65nm, about ten orders of
+// magnitude more than the few-ulp error of the exact chain, so one bin
+// of slack on each side of a cell's bin encloses its exact scale. A
+// bracket then spans three steps, hi/lo ~1+3e-4: sta.Kernel.Bound
+// derives every lower arrival bound from the largest such ratio, so
+// the step sets how tight all of them are.
 const (
-	boundStep = 0x1p-6 // nm
+	boundStep = 0x1p-8 // nm
 	boundLo   = 0.75
 	boundHi   = 1.25
 	// boundMaxEntries caps a table; a Tech whose grid would be longer

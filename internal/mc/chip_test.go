@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/place"
 	"vipipe/internal/sta"
+	"vipipe/internal/variation"
+	"vipipe/internal/vex"
 )
 
 // TestChipMatchesExactWithDomains holds the sample core to exact
@@ -80,3 +83,57 @@ func sameFrame(a, b *sta.Frame) bool {
 	}
 	return true
 }
+
+// BenchmarkChipSample is one whole sample of the full-size core
+// (32-bit, 4-issue VEX) with its slack-recovery derate at position A:
+// draw, brackets, Bound, then the refine of the yield shards (crit) or
+// of mc.Run (frame). exact_cells/op is the cells sent to the exact
+// scaler per sample.
+func BenchmarkChipSample(b *testing.B) {
+	core, err := vex.Build(vex.DefaultConfig(), cell.Default65nm())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := place.Global(core.NL, place.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := sta.New(core.NL, pl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clock := a.Run(1e9, nil).CritPS * 1.001
+	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 25)
+	model := variation.Default()
+	pos, ok := model.Position("A")
+	if !ok {
+		b.Fatal("no position A")
+	}
+	chip, err := NewChip(sta.NewKernel(a), pl, &core.NL.Lib.Tech, &model, pos, 1, clock, derate, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sent := 0
+	exact := chip.exact
+	chip.exact = func(cells []int32, out []float64) {
+		sent += len(cells)
+		exact(cells, out)
+	}
+	var frame sta.Frame
+	for _, mode := range []string{"crit", "frame"} {
+		b.Run(mode, func(b *testing.B) {
+			sent = 0
+			for k := 0; k < b.N; k++ {
+				chip.Sample(k)
+				if mode == "crit" {
+					benchSink = chip.Crit()
+				} else {
+					chip.Frame(&frame)
+				}
+			}
+			b.ReportMetric(float64(sent)/float64(b.N), "exact_cells/op")
+		})
+	}
+}
+
+var benchSink float64

@@ -446,7 +446,7 @@ func TestYieldCurveEdgeCases(t *testing.T) {
 }
 
 // BenchmarkRun is the per-sample cost of mc.Run on one worker: chip
-// draw, delay scaling and a kernel frame, with the fold amortized.
+// draw, brackets, Bound and Frame's refine, with the fold amortized.
 func BenchmarkRun(b *testing.B) {
 	f := coreFixture(b)
 	pos := f.model.DiagonalPositions()[1]

@@ -2,29 +2,61 @@ package sta
 
 import (
 	"math"
+	"math/bits"
 
 	"vipipe/internal/netlist"
 )
 
 // Bound-then-refine evaluation. A Monte Carlo sample brackets every
-// cell's delay scale (cell.ScaleBounds), Bound carries both bracket
-// ends through the timing graph in one walk, and Crit or Frame then
+// cell's delay scale (cell.ScaleBounds), Bound runs Run's own arrival
+// walk on the upper bracket ends and derives every lower arrival bound
+// from it through the largest bracket ratio, and Crit or Frame then
 // asks the exact scaler for the few cells whose bounds can still reach
 // the sample's result, and re-times only the nets those cells drive.
 // Every result is bit-identical to Run or RunFrame on the exact scales:
 //
-//   - Rounding to nearest is monotone, and the kernel's delays are
-//     non-negative, so the walk's +, x and max in Run's operation order
-//     keep lo <= exact <= hi on every arrival and endpoint expression.
-//   - A pruned value cannot be a max: it is <= its upper bound, which
-//     is < the largest lower bound, which is <= the exact max. The
-//     demand tests use >=, so every value that can equal the max is
-//     kept, and scan-order tie-breaks do not change. The same holds
-//     for minima.
+//   - Upper bounds: rounding to nearest is monotone, and the kernel's
+//     delays are non-negative, so the walk's +, x and max on hi keep
+//     up[n] >= the exact arrival on every net. Endpoints use each
+//     flop's own bracket ends, by the same monotonicity.
+//   - Lower bounds: let rho be the largest hi[i]/lo[i]. Every scaled
+//     term of a path sum is base*hi <= rho*base*s for the exact scale
+//     s >= lo, and wires are not scaled, so w <= rho*w (w >= 0,
+//     rho >= 1). In real arithmetic the walk on hi is thus at most rho
+//     times the walk on the exact scales, on every net.
+//   - Rounding: on a path of d comb cells each term of the sum passes
+//     at most 2d+1 roundings (its product, two additions per cell),
+//     each within a factor (1+u) or (1-u), u = 2^-53. The computed
+//     rho, the factor c = (1/rho)*(1-m) and the product up[n]*c round
+//     four more times. With D the kernel's comb depth, up[n]*c <=
+//     exact*(1-m)*(1+u)^(2D+5)/(1-u)^(2D+1) <= exact*(1-m)*
+//     exp((4D+6)u(1+2u)), which is <= exact for m = (4D+8)u: ~4e-14
+//     on the full-size core (D = 86), against hi/lo ~1+3e-4. -Inf
+//     (unreachable) and 0 (primary inputs) arrivals stay as they are.
+//     1-m is an exact double while m <= 1/2, which holds for any
+//     netlist that fits in memory; a deeper graph takes the exact path.
+//   - Range: an addition whose result is subnormal is exact, but a
+//     product that underflows or a sum that overflows breaks the 1+u
+//     factor. Nonzero delays, wires and bracket ends in [minMag,
+//     maxMag] and rho <= maxRho keep every product and sum of both
+//     walks, and up[n]*c, normal and finite.
+//   - Pruning: a pruned value cannot be a max: it is <= its upper
+//     bound, which is < the largest lower bound, which is <= the exact
+//     max. The demand tests use >=, so every value that can equal the
+//     max is kept, and scan-order tie-breaks do not change. The same
+//     holds for minima.
 //
-// A bracket that is negative or not finite (and a non-finite clock)
-// voids that argument; such a sample takes the exact path: every cell
-// goes through exact, then Run or RunFrame.
+// A bracket that is not ordered or out of range (lo = 0 included), a
+// ratio over maxRho, a delay, setup or wire out of range, and a
+// non-finite clock void that argument; such a sample takes the exact path: every
+// cell goes through exact, then Run or RunFrame.
+
+// The range the rounding argument admits.
+const (
+	minMag = 0x1p-500 // smallest nonzero delay, setup or wire, smallest lo
+	maxMag = 0x1p300  // largest delay, setup, wire or hi
+	maxRho = 0x1p20   // largest bracket ratio
+)
 
 // ExactFunc sets out[j] to the exact delay scale of cell cells[j]. The
 // kernel calls it once per Crit or Frame; cells and out are kernel
@@ -32,19 +64,25 @@ import (
 type ExactFunc func(cells []int32, out []float64)
 
 // refineCap is the initial room of the refine lists: more than a
-// full-size core's sample needs (at most 122 cells for Crit and 380
-// for Frame over 128 measured samples), so a shard's allocations do
-// not grow with its sample count.
+// full-size core's sample needs (at most 70 cells for Crit and 210
+// for Frame over 128 measured samples, 32 at each of positions A-D
+// with the slack-recovery derate), so a shard's allocations do not
+// grow with its sample count.
 const refineCap = 1024
 
 // bounds is the kernel's bound-then-refine scratch, allocated on first
 // use and kept apart from arr, so Run, Rerun and RunFrame and their
 // retained state are untouched by it.
 type bounds struct {
-	arr      [][2]float64 // lower and upper arrival bound per net
-	lo, hi   []float64    // the cell brackets of the last Bound/Rebound
-	unsafe   bool         // a walked bracket voids the exactness argument
-	badDelay bool         // a characterized delay is negative or not finite
+	up     []float64 // upper arrival bound per net: Run's walk on hi
+	lo, hi []float64 // the cell brackets of the last Bound/Rebound
+	rho    float64   // >= 1 and >= every hi/lo of those brackets
+	c      float64   // the lower-bound factor: a net's lower bound is up*c
+	shrink float64   // 1-m, the rounding margin of c
+	unsafe bool      // a bracket or rho voids the exactness argument
+	// exactOnly marks a kernel whose characterized delays or depth
+	// void the argument for every sample.
+	exactOnly bool
 
 	// The demanded nets of one refine, a sparse set: net n is demanded
 	// iff slot[n] < len(nets) and nets[slot[n]] == n, so emptying the
@@ -52,6 +90,9 @@ type bounds struct {
 	slot []uint32
 	nets []int32
 	ex   []float64
+	// work holds bit p while the comb cell order[p] drives a demanded
+	// net that refine has not visited yet.
+	work []uint64
 
 	cells []int32   // cells sent to exact
 	xs    []float64 // their exact scales
@@ -61,21 +102,24 @@ type bounds struct {
 func (k *Kernel) initBounds() *bounds {
 	nNets := k.NumNets()
 	b := &bounds{
-		arr:   make([][2]float64, nNets),
-		slot:  make([]uint32, nNets),
-		nets:  make([]int32, 0, refineCap),
-		ex:    make([]float64, refineCap),
-		cells: make([]int32, 0, refineCap),
-		xs:    make([]float64, refineCap),
+		up:     make([]float64, nNets),
+		shrink: 1 - float64(4*k.depth+8)*0x1p-53,
+		slot:   make([]uint32, nNets),
+		nets:   make([]int32, 0, refineCap),
+		ex:     make([]float64, refineCap),
+		work:   make([]uint64, (len(k.order)+63)/64),
+		cells:  make([]int32, 0, refineCap),
+		xs:     make([]float64, refineCap),
 	}
+	b.exactOnly = b.shrink < 0.5
 	for i, d := range k.base {
-		if !boundable(d) || !boundable(k.setup[i]) {
-			b.badDelay = true
+		if !inRange(d) || !inRange(k.setup[i]) {
+			b.exactOnly = true
 		}
 	}
 	for _, w := range k.wire {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			b.badDelay = true
+		if !inRange(w) {
+			b.exactOnly = true
 		}
 	}
 	k.bnd = b
@@ -88,123 +132,93 @@ func (b *bounds) demanded(n int32) bool {
 	return int(s) < len(b.nets) && b.nets[s] == n
 }
 
-// demand adds net n to the demand set.
-func (b *bounds) demand(n int32) {
-	if !b.demanded(n) {
-		b.slot[n] = uint32(len(b.nets))
-		b.nets = append(b.nets, n)
+// demand adds net n to the demand set and queues its comb driver.
+func (k *Kernel) demand(n int32) {
+	b := k.bnd
+	if b.demanded(n) {
+		return
+	}
+	b.slot[n] = uint32(len(b.nets))
+	b.nets = append(b.nets, n)
+	if p := k.drvPos[n]; p >= 0 {
+		b.work[p>>6] |= 1 << (p & 63)
 	}
 }
 
 // exact returns demanded net n's exact arrival.
 func (b *bounds) exact(n int32) float64 { return b.ex[b.slot[n]] }
 
-// boundable reports whether x is finite and >= 0.
-func boundable(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+// lower returns net n's lower arrival bound.
+func (b *bounds) lower(n int32) float64 { return b.up[n] * b.c }
 
-// Bound propagates lower and upper arrival bounds for the cell scale
-// brackets lo <= scale <= hi through the whole timing graph, in Run's
-// operation order. The brackets are retained, unchanged, for the Crit
-// or Frame call that follows.
+// inRange reports whether x is 0 or in [minMag, maxMag].
+func inRange(x float64) bool { return x == 0 || minMag <= x && x <= maxMag }
+
+// widen folds the bracket lo <= scale <= hi of one cell into rho, the
+// largest hi/lo so far; ok is false for a bracket that is not ordered
+// or out of range. It divides only when the ratio grows, so the pass
+// costs a multiply per cell.
+func widen(rho, lo, hi float64) (_ float64, ok bool) {
+	if !(minMag <= lo && lo <= hi && hi <= maxMag) {
+		return rho, false
+	}
+	if hi > rho*lo {
+		rho = max(rho, hi/lo)
+	}
+	return rho, true
+}
+
+// setRatio makes rho the brackets' largest ratio and derives the
+// lower-bound factor from it; a rho over maxRho voids the exactness
+// argument.
+func (b *bounds) setRatio(rho float64) {
+	b.rho = rho
+	if !(rho <= maxRho) {
+		b.unsafe = true
+		return
+	}
+	b.c = (1 / rho) * b.shrink
+}
+
+// Bound bounds the arrivals for the cell scale brackets lo <= scale <=
+// hi, each with NumCells entries: Run's walk on hi gives every upper
+// bound, and the brackets' largest ratio every lower bound. The
+// brackets are retained, unchanged, for the Crit or Frame call that
+// follows.
 func (k *Kernel) Bound(lo, hi []float64) {
 	b := k.bnd
 	if b == nil {
 		b = k.initBounds()
 	}
 	b.lo, b.hi = lo, hi
-	b.unsafe = b.badDelay || !bracketsSafe(lo, hi, k.seq)
-	arr := b.arr
-	neg := math.Inf(-1)
-	for n := range arr {
-		arr[n] = [2]float64{neg, neg}
-	}
-	for _, n := range k.pis {
-		arr[n] = [2]float64{}
-	}
-	for _, i := range k.seq {
-		arr[k.out[i]] = [2]float64{k.base[i] * lo[i], k.base[i] * hi[i]}
-	}
-	for _, i := range k.order {
-		if k.isTie[i] {
-			continue
-		}
-		// The bracket check rides this walk, where lo[i] and hi[i]
-		// are loaded anyway.
-		if !boundable(lo[i]) || !boundable(hi[i]) {
+	b.unsafe = b.exactOnly
+	rho := 1.0
+	for i := range k.out {
+		var ok bool
+		if rho, ok = widen(rho, lo[i], hi[i]); !ok {
 			b.unsafe = true
 		}
-		arr[k.out[i]] = k.boundCell(arr, lo, hi, i)
 	}
-}
-
-// bracketsSafe reports whether every listed cell's bracket is finite
-// and >= 0, as the exactness argument needs.
-func bracketsSafe(lo, hi []float64, cells []int) bool {
-	for _, i := range cells {
-		if !boundable(lo[i]) || !boundable(hi[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// boundCell is propagate's arrival expression for comb cell i on both
-// bracket ends, over the bounds arr.
-func (k *Kernel) boundCell(arr [][2]float64, lo, hi []float64, i int) [2]float64 {
-	neg := math.Inf(-1)
-	wl, wh := neg, neg
-	for _, n := range k.inNet[k.inPtr[i]:k.inPtr[i+1]] {
-		a, w := arr[n], k.wire[n]
-		if t := a[0] + w; t > wl {
-			wl = t
-		}
-		if t := a[1] + w; t > wh {
-			wh = t
-		}
-	}
-	out := [2]float64{neg, neg}
-	if wl != neg {
-		out[0] = wl + k.base[i]*lo[i]
-	}
-	if wh != neg {
-		out[1] = wh + k.base[i]*hi[i]
-	}
-	return out
+	b.setRatio(rho)
+	k.propagate(b.up, hi)
 }
 
 // Rebound updates the retained bounds after a sparse bracket change,
 // as Rerun does for arrivals: dirty lists every instance whose bracket
-// differs from the previous Bound/Rebound, and only their fanout cones
-// re-propagate. It follows a Bound.
+// differs from the previous Bound/Rebound. Their ratios widen rho, and
+// only their fanout cones re-propagate. It follows a Bound.
 func (k *Kernel) Rebound(lo, hi []float64, dirty []int) {
 	b := k.bnd
 	b.lo, b.hi = lo, hi
-	if !bracketsSafe(lo, hi, dirty) {
-		b.unsafe = true
-	}
-	k.epoch++
-	e := k.epoch
+	rho := b.rho
 	for _, i := range dirty {
-		switch {
-		case k.isSeq[i]:
-			if nv := [2]float64{k.base[i] * lo[i], k.base[i] * hi[i]}; nv != b.arr[k.out[i]] {
-				b.arr[k.out[i]] = nv
-				k.markSinks(k.out[i], e)
-			}
-		case k.isTie[i]:
-		default:
-			k.mark[i] = e
+		var ok bool
+		if rho, ok = widen(rho, lo[i], hi[i]); !ok {
+			b.unsafe = true
 		}
 	}
-	for _, i := range k.order {
-		if k.mark[i] != e {
-			continue
-		}
-		if nv := k.boundCell(b.arr, lo, hi, i); nv != b.arr[k.out[i]] {
-			b.arr[k.out[i]] = nv
-			k.markSinks(k.out[i], e)
-		}
-	}
+	b.setRatio(rho)
+	k.update(b.up, hi, dirty)
 }
 
 // exactPath reports whether the retained bounds cannot be refined at
@@ -252,12 +266,12 @@ func (k *Kernel) Crit(clockPS float64, exact ExactFunc) float64 {
 	maxLo := 0.0
 	for _, i := range k.seq {
 		n := k.in0[i]
-		if tl := b.arr[n][0] + k.wire[n]; tl != neg {
+		if tl := b.lower(n) + k.wire[n]; tl != neg {
 			maxLo = max(maxLo, tl+(clockPS-k.required(clockPS, i, b.lo[i])))
 		}
 	}
 	for _, n := range k.pos {
-		if tl := b.arr[n][0] + k.wire[n]; tl != neg {
+		if tl := b.lower(int32(n)) + k.wire[n]; tl != neg {
 			maxLo = max(maxLo, tl+(clockPS-clockPS))
 		}
 	}
@@ -267,14 +281,14 @@ func (k *Kernel) Crit(clockPS float64, exact ExactFunc) float64 {
 	b.nets = b.nets[:0]
 	for _, i := range k.seq {
 		n := k.in0[i]
-		if th := b.arr[n][1] + k.wire[n]; th != neg && th+(clockPS-k.required(clockPS, i, b.hi[i])) >= maxLo {
+		if th := b.up[n] + k.wire[n]; th != neg && th+(clockPS-k.required(clockPS, i, b.hi[i])) >= maxLo {
 			k.mark[i] = e
-			b.demand(n)
+			k.demand(n)
 		}
 	}
 	for _, n := range k.pos {
-		if th := b.arr[n][1] + k.wire[n]; th != neg && th+(clockPS-clockPS) >= maxLo {
-			b.demand(int32(n))
+		if th := b.up[n] + k.wire[n]; th != neg && th+(clockPS-clockPS) >= maxLo {
+			k.demand(int32(n))
 		}
 	}
 	k.refine(e, exact)
@@ -331,7 +345,7 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 	}
 	for _, i := range k.seq {
 		n := k.in0[i]
-		tl := b.arr[n][0] + k.wire[n]
+		tl := b.lower(n) + k.wire[n]
 		if tl == neg {
 			continue
 		}
@@ -342,7 +356,7 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 		minHi[st] = min(minHi[st], needHi-tl)
 	}
 	for _, n := range k.pos {
-		tl := b.arr[n][0] + k.wire[n]
+		tl := b.lower(int32(n)) + k.wire[n]
 		if tl == neg {
 			continue
 		}
@@ -355,8 +369,7 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 	b.nets = b.nets[:0]
 	for _, i := range k.seq {
 		n := k.in0[i]
-		a := b.arr[n]
-		tl, th := a[0]+k.wire[n], a[1]+k.wire[n]
+		tl, th := b.lower(n)+k.wire[n], b.up[n]+k.wire[n]
 		if th == neg {
 			continue
 		}
@@ -365,12 +378,12 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 		straddles := slackLo < 0 && needHi-tl >= 0
 		if th+(clockPS-needLo) >= maxLo || slackLo <= minHi[k.stage[i]] || straddles {
 			k.mark[i] = e
-			b.demand(n)
+			k.demand(n)
 		}
 	}
 	for _, n := range k.pos {
-		if th := b.arr[n][1] + k.wire[n]; th != neg && (th+(clockPS-clockPS) >= maxLo || clockPS-th <= minHi[netlist.StageNone]) {
-			b.demand(int32(n))
+		if th := b.up[n] + k.wire[n]; th != neg && (th+(clockPS-clockPS) >= maxLo || clockPS-th <= minHi[netlist.StageNone]) {
+			k.demand(int32(n))
 		}
 	}
 	k.refine(e, exact)
@@ -380,7 +393,7 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 	for _, i := range k.seq {
 		n := k.in0[i]
 		if k.mark[i] != e {
-			if tl := b.arr[n][0] + k.wire[n]; tl != neg && k.required(clockPS, i, b.lo[i])-tl < 0 {
+			if tl := b.lower(n) + k.wire[n]; tl != neg && k.required(clockPS, i, b.lo[i])-tl < 0 {
 				f.Violators = append(f.Violators, int32(i))
 			}
 			continue
@@ -414,27 +427,31 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 // the demanded cells and computes the exact arrival of every demanded
 // net. A comb cell's demanded inputs are those whose upper bound
 // reaches the largest lower bound among its inputs; only they can set
-// its exact arrival.
+// its exact arrival. The cells come off the worklist in reverse
+// topological order, the order a backward scan of order meets them:
+// the highest queued position first, and visiting a cell queues only
+// its inputs' drivers, which sit earlier in order.
 func (k *Kernel) refine(e uint32, exact ExactFunc) {
 	b := k.bnd
 	neg := math.Inf(-1)
 	cells := b.cells[:0]
-	for j := len(k.order) - 1; j >= 0; j-- {
-		i := k.order[j]
-		if k.isTie[i] || !b.demanded(k.out[i]) {
-			continue
-		}
-		in := k.inNet[k.inPtr[i]:k.inPtr[i+1]]
-		wl := neg
-		for _, n := range in {
-			wl = max(wl, b.arr[n][0]+k.wire[n])
-		}
-		for _, n := range in {
-			if b.arr[n][1]+k.wire[n] >= wl {
-				b.demand(n)
+	for w := len(b.work) - 1; w >= 0; w-- {
+		for b.work[w] != 0 {
+			bit := 63 - bits.LeadingZeros64(b.work[w])
+			b.work[w] &^= 1 << bit
+			i := k.order[w<<6|bit]
+			in := k.inNet[k.inPtr[i]:k.inPtr[i+1]]
+			wl := neg
+			for _, n := range in {
+				wl = max(wl, b.lower(n)+k.wire[n])
 			}
+			for _, n := range in {
+				if b.up[n]+k.wire[n] >= wl {
+					k.demand(n)
+				}
+			}
+			cells = append(cells, int32(i))
 		}
-		cells = append(cells, int32(i))
 	}
 	b.nComb = len(cells)
 	for _, i := range k.seq {

@@ -83,7 +83,9 @@ func enclose(rng *rand.Rand, kind string, scale []float64) (lo, hi []float64) {
 // samples, and no allocations.
 func TestBoundRefineMatchesExact(t *testing.T) {
 	t.Run("enclosed", testBoundRefineEnclosed)
+	t.Run("nets_inside", testBoundNetsInside)
 	t.Run("rebound", testReboundMatchesRerun)
+	t.Run("rebound_widens", testReboundWidensRatio)
 	t.Run("prunes", testBoundRefinePrunes)
 	t.Run("zero_alloc", testBoundRefineZeroAlloc)
 }
@@ -93,7 +95,8 @@ func TestBoundRefineMatchesExact(t *testing.T) {
 // RunFrame field by field, bit for bit, at several clocks. The inputs
 // include uniform scales (twin endpoints with equal exact slack), the
 // core's constant nets (unreachable, -Inf arrivals), tight clocks
-// (straddling violators) and a NaN scale (the exact path).
+// (straddling violators), and a NaN scale and an infinite bracket
+// ratio (lo = 0 < hi), which send every cell to the exact path.
 func testBoundRefineEnclosed(t *testing.T) {
 	a := coreAnalyzer(t)
 	k, ref := NewKernel(a), NewKernel(a)
@@ -121,24 +124,80 @@ func testBoundRefineEnclosed(t *testing.T) {
 		}
 		kind := []string{"zero", "wide", "below", "above", "mixed"}[trial%5]
 		lo, hi := enclose(rng, kind, scale)
-		if trial == 13 {
+		switch trial {
+		case 13:
 			scale = append([]float64(nil), scale...)
 			i := k.order[len(k.order)/2]
 			scale[i], lo[i], hi[i] = math.NaN(), math.NaN(), math.NaN()
+		case 14:
+			lo[combCell(k, rng)] = 0
 		}
+		exactPath := trial == 13 || trial == 14
 		for _, c := range []float64{0.8, 0.95, 1.0, 1.05, 1.3} {
 			clock := nominal * c
+			sent = 0
 			k.Bound(lo, hi)
 			if g, w := k.Crit(clock, exactFrom(scale, &sent)), ref.Run(clock, scale); !sameFloat(g, w) {
 				t.Fatalf("trial %d (%s) clock %g: Crit %v != Run %v", trial, kind, clock, g, w)
 			}
+			if exactPath && sent != n {
+				t.Fatalf("trial %d clock %g: Crit sent %d of %d cells to exact", trial, clock, sent, n)
+			}
+			sent = 0
 			k.Bound(lo, hi)
 			k.Frame(got, clock, exactFrom(scale, &sent))
 			ref.RunFrame(want, clock, scale)
 			if field := sameFrame(got, want); field != "" {
 				t.Fatalf("trial %d (%s) clock %g: Frame.%s differs:\n got %+v\nwant %+v", trial, kind, clock, field, got, want)
 			}
+			if exactPath && sent != n {
+				t.Fatalf("trial %d clock %g: Frame sent %d of %d cells to exact", trial, clock, sent, n)
+			}
 		}
+	}
+}
+
+// combCell returns a random non-tie combinational cell of the kernel.
+func combCell(k *Kernel, rng *rand.Rand) int {
+	for {
+		if i := k.order[rng.Intn(len(k.order))]; !k.isTie[i] {
+			return i
+		}
+	}
+}
+
+// testBoundNetsInside holds Bound to its enclosure on every net in the
+// case that is tightest for the rounding margin: the exact scales are
+// the lower bracket ends, and every bracket is as wide as the largest,
+// hi = lo*rho with rho from 1+2^-40 to 1+2^-9. Then each net's lower
+// bound, up*c, must not exceed Run's arrival on the exact scales.
+func testBoundNetsInside(t *testing.T) {
+	a := coreAnalyzer(t)
+	k, ref := NewKernel(a), NewKernel(a)
+	n := k.NumCells()
+	clock := a.Run(1e9, nil).CritPS
+	rng := rand.New(rand.NewSource(37))
+	hi := make([]float64, n)
+	outside := 0
+	for trial := 0; trial < 40; trial++ {
+		rho := 1 + math.Ldexp(1, -9-31*trial/39)
+		lo := randScale(rng, n)
+		for i := range lo {
+			hi[i] = lo[i] * rho
+		}
+		k.Bound(lo, hi)
+		if k.bnd.unsafe {
+			t.Fatalf("trial %d: rho %v took the exact path", trial, rho)
+		}
+		ref.Run(clock, lo)
+		for net, exact := range ref.arr {
+			if !(k.bnd.lower(int32(net)) <= exact && exact <= k.bnd.up[net]) {
+				outside++
+			}
+		}
+	}
+	if outside > 0 {
+		t.Errorf("%d net-trials have an exact arrival outside their bounds", outside)
 	}
 }
 
@@ -236,8 +295,52 @@ func testReboundMatchesRerun(t *testing.T) {
 	}
 }
 
+// testReboundWidensRatio bounds zero-width brackets (rho = 1), then
+// runs Rebound rounds whose dirty cells are bracketed at [0.8s, 1.25s]
+// around their new scale s: Crit is exact only if Rebound widens rho
+// by the dirty cells' ratios. Half the dirty cells are ones the
+// previous refine sent to exact, sped up, and the others random cells,
+// slowed down, so the critical path moves away from the widest upper
+// bounds.
+func testReboundWidensRatio(t *testing.T) {
+	a := coreAnalyzer(t)
+	k, ref := NewKernel(a), NewKernel(a)
+	n := k.NumCells()
+	clock := a.Run(1e9, nil).CritPS
+	rng := rand.New(rand.NewSource(41))
+	scale := randScale(rng, n)
+	lo, hi := enclose(rng, "zero", scale)
+	sent := 0
+	k.Bound(lo, hi)
+	k.Crit(clock, exactFrom(scale, &sent))
+	ref.Run(clock, scale)
+	for round := 0; round < 30; round++ {
+		refined := append([]int32(nil), k.bnd.cells...)
+		seen := map[int]bool{}
+		var dirty []int
+		for len(dirty) < 40 {
+			i, f := rng.Intn(n), 1+rng.Float64()
+			if len(dirty)%2 == 0 {
+				i, f = int(refined[rng.Intn(len(refined))]), 0.5+0.3*rng.Float64()
+			}
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
+			dirty = append(dirty, i)
+			s := scale[i] * f
+			scale[i], lo[i], hi[i] = s, 0.8*s, 1.25*s
+		}
+		k.Rebound(lo, hi, dirty)
+		got := k.Crit(clock, exactFrom(scale, &sent))
+		if want := ref.Rerun(clock, scale, dirty); !sameFloat(got, want) {
+			t.Fatalf("round %d: Rebound+Crit %v != Rerun %v", round, got, want)
+		}
+	}
+}
+
 // realSample draws sample k of position B over the kernel's netlist
-// and returns its gate lengths, exact scales and 1/64-nm brackets.
+// and returns its gate lengths, exact scales and table brackets.
 func realSample(a *Analyzer, k int) (lg, scale, lo, hi []float64) {
 	n := a.NL.NumCells()
 	model := variation.Default()
@@ -344,8 +447,9 @@ func refineBench(b *testing.B) (*Kernel, float64, ExactFunc) {
 	return k, a.Run(1e9, nil).CritPS, exactFrom(scale, &sent)
 }
 
-// BenchmarkKernelBound is one full two-bound walk: the per-sample
-// bound cost of both Monte Carlo loops.
+// BenchmarkKernelBound is one Bound: the bracket-ratio pass and Run's
+// arrival walk on the upper bracket ends, the per-sample bound cost of
+// both Monte Carlo loops.
 func BenchmarkKernelBound(b *testing.B) {
 	k, _, _ := refineBench(b)
 	lo, hi := k.bnd.lo, k.bnd.hi

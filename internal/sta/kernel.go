@@ -68,6 +68,13 @@ type shape struct {
 	// incremental re-propagation.
 	snkPtr  []int32
 	snkInst []int32
+
+	// drvPos is the position in order of each net's combinational
+	// non-tie driver, -1 for any other net: refine's worklist index.
+	drvPos []int32
+	// depth is the most comb cells on any path: the rounding count of
+	// the lower-bound margin (bound.go).
+	depth int
 }
 
 // NewKernel returns a kernel over a prepared analyzer. The kernel
@@ -158,6 +165,24 @@ func newShape(a *Analyzer) *shape {
 		}
 	}
 	k.snkPtr[nNets] = int32(len(k.snkInst))
+
+	k.drvPos = make([]int32, nNets)
+	for n := range k.drvPos {
+		k.drvPos[n] = -1
+	}
+	level := make([]int, nNets) // comb cells on the deepest path into each net
+	for p, i := range k.order {
+		if k.isTie[i] {
+			continue
+		}
+		d := 0
+		for _, n := range k.inNet[k.inPtr[i]:k.inPtr[i+1]] {
+			d = max(d, level[n])
+		}
+		level[k.out[i]] = d + 1
+		k.depth = max(k.depth, d+1)
+		k.drvPos[k.out[i]] = int32(p)
+	}
 	return k
 }
 
@@ -222,6 +247,16 @@ func (s *shape) propagate(arr, scale []float64) {
 // endpoint clock-sensitive anyway).
 func (k *Kernel) Rerun(clockPS float64, scale []float64, dirty []int) float64 {
 	arr := k.arrivals()
+	k.update(arr, scale, dirty)
+	k.endpoints(&k.frame, nil, arr, clockPS, scale)
+	return k.frame.CritPS
+}
+
+// update brings arr, the arrivals of a previous propagate or update,
+// to the new scale: dirty lists every instance whose scale entry
+// changed, and only their fanout cones re-evaluate, each cell with
+// propagate's expression. Rerun and Rebound share it.
+func (k *Kernel) update(arr, scale []float64, dirty []int) {
 	neg := math.Inf(-1)
 	k.epoch++
 	e := k.epoch
@@ -258,8 +293,6 @@ func (k *Kernel) Rerun(clockPS float64, scale []float64, dirty []int) float64 {
 			k.markSinks(k.out[i], e)
 		}
 	}
-	k.endpoints(&k.frame, nil, arr, clockPS, scale)
-	return k.frame.CritPS
 }
 
 // markSinks stamps the combinational non-tie loads of net n for

@@ -82,8 +82,8 @@ func TestComputeShardNoPerSampleAllocs(t *testing.T) {
 }
 
 // BenchmarkComputeShard is the per-sample cost of a yield shard on the
-// small core at position B: chip draw, delay scaling and a kernel run,
-// with the shard's fixed part amortized over b.N samples.
+// small core at position B: chip draw, brackets, Bound and Crit's
+// refine, with the shard's fixed part amortized over b.N samples.
 func BenchmarkComputeShard(b *testing.B) {
 	in := smallShard(b, b.N)
 	b.ResetTimer()
