@@ -77,15 +77,16 @@ crash-it:
 # -json stream; pipe `jq -r 'select(.Action=="output").Output'` into
 # benchstat, or read the Benchmark lines directly). bench-smoke is the
 # one-iteration ci variant: it proves the benchmarks still compile and
-# run without paying measurement time, the service ones and the
+# run without paying measurement time, the service ones, the
 # Monte Carlo sample layers (bound, refine, a whole full-core sample,
-# the draw, a yield shard).
+# the draw, a yield shard) and global placement.
 bench:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
 
 bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield
+	$(GO) test -run '^$$' -bench Global -benchtime 1x ./internal/place
 
 # The benchmark harness (bench/) is a module of its own, so the root
 # `go build ./...` never compiles it. bench-check vets and tests it

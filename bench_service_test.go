@@ -3,6 +3,7 @@ package vipipe_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"vipipe"
 	"vipipe/internal/cell"
@@ -264,30 +265,36 @@ func BenchmarkWhatIf(b *testing.B) {
 // cell-count ratio, not 50x; BenchmarkWhatIf/warm_overlay tracks
 // them.) A regression here means the group-sum path grew a hidden
 // cell walk.
+//
+// Each side is timed as the fastest of five interleaved batches, so
+// one preemption during the ~1 ms warm batch cannot sink the ratio.
 func TestWhatIfSpeedup(t *testing.T) {
 	x := newWhatIfFixture(t)
 	raise, _, fallback := x.whatIfQueries()
 
-	const warmIters, exactIters = 2000, 8
-	t0 := obs.Now()
-	for i := 0; i < warmIters; i++ {
-		if _, err := x.m.Eval(raise); err != nil {
-			t.Fatal(err)
+	const batches, warmIters, exactIters = 5, 400, 2
+	warm, exact := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for b := 0; b < batches; b++ {
+		t0 := obs.Now()
+		for i := 0; i < warmIters; i++ {
+			if _, err := x.m.Eval(raise); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	warm := obs.Since(t0) / warmIters
+		warm = min(warm, obs.Since(t0)/warmIters)
 
-	t1 := obs.Now()
-	for i := 0; i < exactIters; i++ {
-		ans, err := vipipe.EvalWhatIf(x.f.Cfg, x.tm, x.part, x.m, x.pos, fallback)
-		if err != nil {
-			t.Fatal(err)
+		t1 := obs.Now()
+		for i := 0; i < exactIters; i++ {
+			ans, err := vipipe.EvalWhatIf(x.f.Cfg, x.tm, x.part, x.m, x.pos, fallback)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ans.Exact {
+				t.Fatal("fallback query answered by the model")
+			}
 		}
-		if !ans.Exact {
-			t.Fatal("fallback query answered by the model")
-		}
+		exact = min(exact, obs.Since(t1)/exactIters)
 	}
-	exact := obs.Since(t1) / exactIters
 
 	if exact < 50*warm {
 		t.Fatalf("composed what-if %v not ≥50x faster than full STA %v", warm, exact)

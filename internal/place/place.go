@@ -126,6 +126,7 @@ type placer struct {
 	p    *Placement
 	opts Options
 	rng  *stats.Stream
+	fm   fmScratch
 }
 
 // bisect recursively splits cells into two area-balanced halves with

@@ -315,3 +315,57 @@ func TestPartitionFindsZeroCut(t *testing.T) {
 		t.Errorf("two independent chains partitioned with %d cut pins", cut)
 	}
 }
+
+// TestGlobalGolden pins the placement bits: every downstream number
+// (timing, islands, shifters, power, every cached artifact) starts
+// from these coordinates, so a placer change that moves a single cell
+// must fail here.
+func TestGlobalGolden(t *testing.T) {
+	golden := []struct {
+		name string
+		cfg  vex.Config
+		seed int64
+		want string
+	}{
+		{"small/seed1", vex.SmallConfig(), 1, "4703fb7e0d119c2b5a8102a168a98327756caaa168d81cfa9cfe8c62faa49c58"},
+		{"small/seed2", vex.SmallConfig(), 2, "00d14bce2bf6ae53a4ea56b19d89be1d899d64436ae94058d2a96dd2f6d0dcb4"},
+		{"small/seed3", vex.SmallConfig(), 3, "20b1ae15a57d8e304e5c43e41b121eea039b99f4f86f5361dd14e1a9e3531865"},
+		{"full/seed1", vex.DefaultConfig(), 1, "2773714ae687034f8a39baefbd319a68918d2c379eba7f63c9afb822195f50ed"},
+	}
+	for _, g := range golden {
+		t.Run(g.name, func(t *testing.T) {
+			if testing.Short() && g.cfg == vex.DefaultConfig() {
+				t.Skip("full core in -short mode")
+			}
+			opts := DefaultOptions()
+			opts.Seed = g.seed
+			p, err := Global(vexNetlist(t, g.cfg), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := placementDigest(p); got != g.want {
+				t.Errorf("placement digest %s, want %s", got, g.want)
+			}
+		})
+	}
+}
+
+// BenchmarkGlobal times one whole global placement of the small and
+// the full VEX core at the default options.
+func BenchmarkGlobal(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  vex.Config
+	}{{"small", vex.SmallConfig()}, {"full", vex.DefaultConfig()}} {
+		b.Run(c.name, func(b *testing.B) {
+			nl := vexNetlist(b, c.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Global(nl, DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
