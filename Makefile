@@ -79,7 +79,8 @@ crash-it:
 # one-iteration ci variant: it proves the benchmarks still compile and
 # run without paying measurement time, the service ones, the
 # Monte Carlo sample layers (bound, refine, a whole full-core sample,
-# the draw, a yield shard) and global placement.
+# the draw, a yield shard), global placement and the FIR gate-level
+# co-simulation.
 bench:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
 
@@ -87,6 +88,7 @@ bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield
 	$(GO) test -run '^$$' -bench Global -benchtime 1x ./internal/place
+	$(GO) test -run '^$$' -bench TestbenchFIR -benchtime 1x ./internal/vexsim
 
 # The benchmark harness (bench/) is a module of its own, so the root
 # `go build ./...` never compiles it. bench-check vets and tests it

@@ -26,9 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Co-simulate the FIR benchmark; the flow verifies the filter
-	// output against the reference machine, so a power number here
-	// is backed by a functionally-correct run.
+	// Co-simulate the FIR benchmark; the flow checks every filter
+	// output word against the values NewFIR computes from the ISA's
+	// semantics, so a power number here is backed by a
+	// functionally-correct run.
 	if err := flow.SimulateWorkload(ctx); err != nil {
 		log.Fatal(err)
 	}

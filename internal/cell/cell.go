@@ -120,6 +120,10 @@ func (c *Cell) IsLevelShifter() bool { return c.Kind == LvlShift }
 // IsTie reports whether the cell is a constant generator.
 func (c *Cell) IsTie() bool { return c.Kind == TieLo || c.Kind == TieHi }
 
+// MaxInputs is the input count of the library's widest cell, NAND4:
+// the number of input-net slots a flat cell list holds per cell.
+const MaxInputs = 4
+
 // Eval computes the combinational function of the cell. For sequential
 // cells it returns the captured data input (in[0]), which is how the
 // cycle-based simulator advances state. It panics on an input-count
@@ -128,49 +132,75 @@ func (c *Cell) Eval(in []bool) bool {
 	if len(in) != c.NumInputs {
 		panic(fmt.Sprintf("cell %s: got %d inputs, want %d", c.Name, len(in), c.NumInputs))
 	}
-	switch c.Kind {
-	case Inv:
-		return !in[0]
-	case Buf, LvlShift:
-		return in[0]
-	case Nand2:
-		return !(in[0] && in[1])
-	case Nand3:
-		return !(in[0] && in[1] && in[2])
-	case Nand4:
-		return !(in[0] && in[1] && in[2] && in[3])
-	case Nor2:
-		return !(in[0] || in[1])
-	case Nor3:
-		return !(in[0] || in[1] || in[2])
-	case And2:
-		return in[0] && in[1]
-	case And3:
-		return in[0] && in[1] && in[2]
-	case Or2:
-		return in[0] || in[1]
-	case Or3:
-		return in[0] || in[1] || in[2]
-	case Xor2:
-		return in[0] != in[1]
-	case Xnor2:
-		return in[0] == in[1]
-	case Aoi21:
-		return !((in[0] && in[1]) || in[2])
-	case Oai21:
-		return !((in[0] || in[1]) && in[2])
-	case Mux2:
-		if in[2] {
-			return in[1]
+	// One cell over a private value array: inputs in slots 0..3, the
+	// output in slot MaxInputs.
+	var vals [MaxInputs + 1]bool
+	copy(vals[:MaxInputs], in)
+	kind := [1]Kind{c.Kind}
+	pins := [1][MaxInputs]int32{{0, 1, 2, 3}}
+	out := [1]int32{MaxInputs}
+	EvalCells(kind[:], pins[:], out[:], vals[:])
+	return vals[MaxInputs]
+}
+
+// EvalCells evaluates a flat list of cells in list order over the
+// net-value array vals. Cell i has kind[i], reads its inputs from
+// vals at in[i], in pin order, and writes its output to
+// vals[out[i]]. Input slots past a cell's arity are ignored. A list
+// in topological order settles a combinational netlist in one pass.
+// Sequential kinds pass their data input through, as Cell.Eval
+// does. This is the library's one truth table: Cell.Eval and the
+// gate-level simulator both evaluate through it. in and out must be
+// at least as long as kind; it panics on an invalid kind.
+func EvalCells(kind []Kind, in [][MaxInputs]int32, out []int32, vals []bool) {
+	in, out = in[:len(kind)], out[:len(kind)]
+	for i, k := range kind {
+		p := &in[i]
+		var v bool
+		switch k {
+		case Inv:
+			v = !vals[p[0]]
+		case Buf, LvlShift, DFF, RazorFF:
+			v = vals[p[0]]
+		case Nand2:
+			v = !(vals[p[0]] && vals[p[1]])
+		case Nand3:
+			v = !(vals[p[0]] && vals[p[1]] && vals[p[2]])
+		case Nand4:
+			v = !(vals[p[0]] && vals[p[1]] && vals[p[2]] && vals[p[3]])
+		case Nor2:
+			v = !(vals[p[0]] || vals[p[1]])
+		case Nor3:
+			v = !(vals[p[0]] || vals[p[1]] || vals[p[2]])
+		case And2:
+			v = vals[p[0]] && vals[p[1]]
+		case And3:
+			v = vals[p[0]] && vals[p[1]] && vals[p[2]]
+		case Or2:
+			v = vals[p[0]] || vals[p[1]]
+		case Or3:
+			v = vals[p[0]] || vals[p[1]] || vals[p[2]]
+		case Xor2:
+			v = vals[p[0]] != vals[p[1]]
+		case Xnor2:
+			v = vals[p[0]] == vals[p[1]]
+		case Aoi21:
+			v = !((vals[p[0]] && vals[p[1]]) || vals[p[2]])
+		case Oai21:
+			v = !((vals[p[0]] || vals[p[1]]) && vals[p[2]])
+		case Mux2:
+			if vals[p[2]] {
+				v = vals[p[1]]
+			} else {
+				v = vals[p[0]]
+			}
+		case TieLo:
+			v = false
+		case TieHi:
+			v = true
+		default:
+			panic(fmt.Sprintf("cell: eval of invalid kind %v", k))
 		}
-		return in[0]
-	case TieLo:
-		return false
-	case TieHi:
-		return true
-	case DFF, RazorFF:
-		return in[0]
-	default:
-		panic(fmt.Sprintf("cell: eval of invalid kind %v", c.Kind))
+		vals[out[i]] = v
 	}
 }

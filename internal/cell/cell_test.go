@@ -52,55 +52,86 @@ func TestLibraryPanicsOnInvalidKind(t *testing.T) {
 	Default65nm().Cell(Invalid)
 }
 
+// truthTables holds each kind's function as a 2^n-bit constant,
+// written from the cell's definition and not from the evaluator: bit
+// i is the output for the input combination in which pin p carries
+// bit p of i. Sequential kinds evaluate to their data input.
+var truthTables = map[Kind]uint16{
+	Inv:      0b01,
+	Buf:      0b10,
+	LvlShift: 0b10,
+	DFF:      0b10,
+	RazorFF:  0b10,
+	Nand2:    0b0111,
+	Nand3:    0x7F,
+	Nand4:    0x7FFF,
+	Nor2:     0b0001,
+	Nor3:     0x01,
+	And2:     0b1000,
+	And3:     0x80,
+	Or2:      0b1110,
+	Or3:      0xFE,
+	Xor2:     0b0110,
+	Xnor2:    0b1001,
+	Aoi21:    0x07, // !(a*b + c): 1 only while c=0 and not a*b
+	Oai21:    0x1F, // !((a+b) * c): 0 only for c=1 with a or b
+	Mux2:     0xCA, // sel ? b : a
+	TieLo:    0b0,
+	TieHi:    0b1,
+}
+
+// TestEvalTruthTables checks every library kind on every input
+// combination, through Cell.Eval and through one EvalCells list that
+// holds all combinations at once. In the list, a cell's unused input
+// slots point at a net driven to 0 and then to 1, so a kind that reads
+// past its arity fails.
 func TestEvalTruthTables(t *testing.T) {
 	lib := Default65nm()
-	type tc struct {
-		k    Kind
-		in   []bool
-		want bool
-	}
-	cases := []tc{
-		{Inv, []bool{true}, false},
-		{Inv, []bool{false}, true},
-		{Buf, []bool{true}, true},
-		{LvlShift, []bool{false}, false},
-		{Nand2, []bool{true, true}, false},
-		{Nand2, []bool{true, false}, true},
-		{Nand3, []bool{true, true, true}, false},
-		{Nand3, []bool{true, true, false}, true},
-		{Nand4, []bool{true, true, true, true}, false},
-		{Nand4, []bool{false, true, true, true}, true},
-		{Nor2, []bool{false, false}, true},
-		{Nor2, []bool{true, false}, false},
-		{Nor3, []bool{false, false, false}, true},
-		{Nor3, []bool{false, true, false}, false},
-		{And2, []bool{true, true}, true},
-		{And2, []bool{true, false}, false},
-		{And3, []bool{true, true, true}, true},
-		{Or2, []bool{false, false}, false},
-		{Or2, []bool{false, true}, true},
-		{Or3, []bool{false, false, true}, true},
-		{Xor2, []bool{true, false}, true},
-		{Xor2, []bool{true, true}, false},
-		{Xnor2, []bool{true, true}, true},
-		{Xnor2, []bool{true, false}, false},
-		{Aoi21, []bool{true, true, false}, false},
-		{Aoi21, []bool{false, true, false}, true},
-		{Aoi21, []bool{false, false, true}, false},
-		{Oai21, []bool{false, false, true}, true},
-		{Oai21, []bool{true, false, true}, false},
-		{Oai21, []bool{true, true, false}, true},
-		{Mux2, []bool{true, false, false}, true},
-		{Mux2, []bool{true, false, true}, false},
-		{Mux2, []bool{false, true, true}, true},
-		{TieLo, nil, false},
-		{TieHi, nil, true},
-		{DFF, []bool{true}, true},
-		{RazorFF, []bool{false}, false},
-	}
-	for _, c := range cases {
-		if got := lib.Cell(c.k).Eval(c.in); got != c.want {
-			t.Errorf("%v(%v) = %v, want %v", c.k, c.in, got, c.want)
+	for _, k := range Kinds() {
+		c := lib.Cell(k)
+		table, ok := truthTables[k]
+		if !ok {
+			t.Errorf("%v: no truth table", k)
+			continue
+		}
+		if c.NumInputs > MaxInputs {
+			t.Fatalf("%v: %d inputs, MaxInputs is %d", k, c.NumInputs, MaxInputs)
+		}
+		combos := 1 << c.NumInputs
+		for i := 0; i < combos; i++ {
+			in := make([]bool, c.NumInputs)
+			for p := range in {
+				in[p] = i>>p&1 == 1
+			}
+			if got, want := c.Eval(in), table>>i&1 == 1; got != want {
+				t.Errorf("%v(%v) = %v, want %v", k, in, got, want)
+			}
+		}
+
+		// Nets: 0 and 1 are constants, 2 the unused-slot net, then one
+		// output per combination.
+		kinds := make([]Kind, combos)
+		pins := make([][MaxInputs]int32, combos)
+		outs := make([]int32, combos)
+		for i := range kinds {
+			kinds[i] = k
+			for p := range pins[i] {
+				pins[i][p] = 2
+				if p < c.NumInputs {
+					pins[i][p] = int32(i >> p & 1)
+				}
+			}
+			outs[i] = int32(3 + i)
+		}
+		for _, unused := range []bool{false, true} {
+			vals := make([]bool, 3+combos)
+			vals[1], vals[2] = true, unused
+			EvalCells(kinds, pins, outs, vals)
+			for i := 0; i < combos; i++ {
+				if got, want := vals[3+i], table>>i&1 == 1; got != want {
+					t.Errorf("%v: EvalCells input %0*b (unused slots %v) = %v, want %v", k, c.NumInputs, i, unused, got, want)
+				}
+			}
 		}
 	}
 }

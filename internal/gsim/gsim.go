@@ -17,18 +17,24 @@ import (
 	"context"
 	"fmt"
 
+	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
 	"vipipe/internal/obs"
 )
 
-// Simulator holds the evaluation state of one netlist.
+// Simulator holds the evaluation state of one netlist. New flattens
+// the netlist once: the combinational cells into arrays in topological
+// order (kind, output net, input nets), the flip-flops into their Q
+// and D nets. The cycle loop walks only these arrays.
 type Simulator struct {
-	nl    *netlist.Netlist
-	order []int  // topological order of combinational instances
-	vals  []bool // current value per net
-	seqs  []int  // flip-flop instance IDs
-	state []bool // captured Q value per entry of seqs
+	kind []cell.Kind             // per comb cell, topological order
+	in   [][cell.MaxInputs]int32 // input nets per comb cell, pin order
+	out  []int32                 // output net per comb cell
+	q, d []int32                 // Q and D net per flip-flop
+	vals []bool                  // current value per net
+
+	state []bool // captured Q value per flip-flop
 
 	toggles []uint64 // per-net toggle count
 	prev    []bool   // net values at the end of the previous Step
@@ -36,35 +42,67 @@ type Simulator struct {
 	primed  bool // first Step establishes the reference values
 }
 
-// New builds a simulator for nl. All state starts at logic 0.
+// New builds a simulator for nl. All state starts at logic 0. It
+// returns an error for a combinational cycle, for an instance whose
+// pin count differs from its library cell's, and for a cell wider
+// than cell.MaxInputs.
 func New(nl *netlist.Netlist) (*Simulator, error) {
 	order, err := nl.Levelize()
 	if err != nil {
 		return nil, fmt.Errorf("gsim: %w", err)
 	}
-	return &Simulator{
-		nl:      nl,
-		order:   order,
+	seqs := nl.Sequentials()
+	s := &Simulator{
+		kind:    make([]cell.Kind, len(order)),
+		in:      make([][cell.MaxInputs]int32, len(order)),
+		out:     make([]int32, len(order)),
+		q:       make([]int32, len(seqs)),
+		d:       make([]int32, len(seqs)),
 		vals:    make([]bool, nl.NumNets()),
-		seqs:    nl.Sequentials(),
-		state:   make([]bool, len(nl.Sequentials())),
+		state:   make([]bool, len(seqs)),
 		toggles: make([]uint64, nl.NumNets()),
 		prev:    make([]bool, nl.NumNets()),
-	}, nil
+	}
+	for pos, id := range order {
+		if err := checkPins(nl, id); err != nil {
+			return nil, err
+		}
+		inst := &nl.Insts[id]
+		s.kind[pos] = inst.Kind
+		s.out[pos] = int32(inst.Out)
+		for p, net := range inst.Inputs {
+			s.in[pos][p] = int32(net)
+		}
+	}
+	for k, id := range seqs {
+		if err := checkPins(nl, id); err != nil {
+			return nil, err
+		}
+		s.q[k] = int32(nl.Insts[id].Out)
+		s.d[k] = int32(nl.Insts[id].Inputs[0])
+	}
+	return s, nil
+}
+
+// checkPins rejects an instance the flat arrays cannot hold: one wider
+// than cell.MaxInputs, or one whose pin count differs from its cell's.
+func checkPins(nl *netlist.Netlist, id int) error {
+	inst, c := &nl.Insts[id], nl.Cell(id)
+	if c.NumInputs > cell.MaxInputs {
+		return flowerr.BadInputf("gsim: instance %s: cell %s has %d inputs, more than %d", inst.Name, c.Name, c.NumInputs, cell.MaxInputs)
+	}
+	if len(inst.Inputs) != c.NumInputs {
+		return flowerr.BadInputf("gsim: instance %s: %d input pins, cell %s has %d", inst.Name, len(inst.Inputs), c.Name, c.NumInputs)
+	}
+	return nil
 }
 
 // Reset clears all flip-flop state, net values and activity counters.
 func (s *Simulator) Reset() {
-	for i := range s.vals {
-		s.vals[i] = false
-	}
-	for i := range s.state {
-		s.state[i] = false
-	}
-	for i := range s.toggles {
-		s.toggles[i] = 0
-		s.prev[i] = false
-	}
+	clear(s.vals)
+	clear(s.state)
+	clear(s.toggles)
+	clear(s.prev)
 	s.cycles = 0
 	s.primed = false
 }
@@ -93,25 +131,23 @@ func (s *Simulator) Word(w netlist.Word) uint64 {
 	return v
 }
 
+// PresentState puts each flip-flop's captured state on its Q net and
+// evaluates no logic: afterwards every flop output reads what the next
+// Eval or Step will see, while every other net keeps its value.
+func (s *Simulator) PresentState() {
+	vals, state := s.vals, s.state[:len(s.q)]
+	for k, q := range s.q {
+		vals[q] = state[k]
+	}
+}
+
 // Eval propagates the current primary inputs and flip-flop outputs
 // through the combinational logic without clocking the flops. Toggle
 // counters are not advanced. It is the combinational-settling step
 // used both by Step and by purely combinational testbenches.
 func (s *Simulator) Eval() {
-	nl := s.nl
-	// Flop outputs present their captured state.
-	for k, id := range s.seqs {
-		s.vals[nl.Insts[id].Out] = s.state[k]
-	}
-	var inBuf [8]bool
-	for _, id := range s.order {
-		inst := &nl.Insts[id]
-		in := inBuf[:len(inst.Inputs)]
-		for p, netID := range inst.Inputs {
-			in[p] = s.vals[netID]
-		}
-		s.vals[inst.Out] = nl.Cell(id).Eval(in)
-	}
+	s.PresentState()
+	cell.EvalCells(s.kind, s.in, s.out, s.vals)
 }
 
 // Step runs one clock cycle: settle combinational logic, record
@@ -119,20 +155,33 @@ func (s *Simulator) Eval() {
 // flip-flops. Drive primary inputs with SetPI before calling.
 func (s *Simulator) Step() {
 	s.Eval()
+	vals := s.vals
+	prev := s.prev[:len(vals)]
 	if s.primed {
-		for i, v := range s.vals {
-			if v != s.prev[i] {
-				s.toggles[i]++
-			}
+		toggles := s.toggles[:len(vals)]
+		for i, v := range vals {
+			toggles[i] += b2u(v != prev[i])
+			prev[i] = v
 		}
+	} else {
+		copy(prev, vals)
 	}
-	copy(s.prev, s.vals)
 	s.primed = true
 	s.cycles++
 	// Capture D inputs.
-	for k, id := range s.seqs {
-		s.state[k] = s.vals[s.nl.Insts[id].Inputs[0]]
+	state := s.state[:len(s.d)]
+	for k, d := range s.d {
+		state[k] = vals[d]
 	}
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Run applies each vector (a PI-driving callback) for one cycle.
@@ -157,7 +206,7 @@ func (s *Simulator) RunContext(ctx context.Context, cycles int, drive func(cycle
 	ctx, span := obs.Start(ctx, "gsim.run")
 	defer span.End()
 	span.SetAttr("cycles", cycles)
-	span.SetAttr("nets", s.nl.NumNets())
+	span.SetAttr("nets", len(s.vals))
 	for c := 0; c < cycles; c++ {
 		if c%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {

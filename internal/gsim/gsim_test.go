@@ -1,10 +1,13 @@
 package gsim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
 )
 
@@ -195,34 +198,37 @@ func TestRunCallback(t *testing.T) {
 	}
 }
 
-// Property: for random combinational netlists, the simulator's Eval
-// matches a direct recursive evaluation of the logic.
+// combKinds lists every combinational kind of the library.
+func combKinds() []cell.Kind {
+	var ks []cell.Kind
+	for _, c := range cell.Default65nm().Cells() {
+		if !c.Sequential {
+			ks = append(ks, c.Kind)
+		}
+	}
+	return ks
+}
+
+// Property: for random combinational netlists over every combinational
+// kind of the library, the simulator's flat Eval matches a direct
+// recursive evaluation through Cell.Eval: same pin order, unused input
+// slots ignored, outputs on the right nets.
 func TestEvalMatchesRecursiveEvaluation(t *testing.T) {
-	f := func(ops []byte, stimulus uint8) bool {
+	kinds := combKinds()
+	lib := cell.Default65nm()
+	f := func(ops []uint32, stimulus uint8) bool {
 		b := builder()
 		nets := []int{b.Input("a"), b.Input("b"), b.Input("c")}
 		for i, op := range ops {
 			if i >= 30 {
 				break
 			}
-			x := nets[int(op)%len(nets)]
-			y := nets[int(op>>3)%len(nets)]
-			var out int
-			switch op % 6 {
-			case 0:
-				out = b.Not(x)
-			case 1:
-				out = b.And(x, y)
-			case 2:
-				out = b.Or(x, y)
-			case 3:
-				out = b.Xor(x, y)
-			case 4:
-				out = b.Nand(x, y)
-			default:
-				out = b.Mux(x, y, nets[int(op>>5)%len(nets)])
+			k := kinds[int(op%uint32(len(kinds)))]
+			in := make([]int, lib.Cell(k).NumInputs)
+			for p := range in {
+				in[p] = nets[int(op>>(5+6*p)&63)%len(nets)]
 			}
-			nets = append(nets, out)
+			nets = append(nets, b.Gate(k, in...))
 		}
 		s, err := New(b.NL)
 		if err != nil {
@@ -259,7 +265,52 @@ func TestEvalMatchesRecursiveEvaluation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStepAllocatesNothing: a clock cycle walks preallocated arrays.
+func TestStepAllocatesNothing(t *testing.T) {
+	b := builder()
+	d := b.Input("d")
+	q := b.DFF(b.Xor(d, b.Not(d)))
+	b.Mux(d, q, b.Nand(d, q))
+	s, err := New(b.NL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.SetPI(d, c%3 == 0)
+		s.Step()
+		c++
+	}); n != 0 {
+		t.Errorf("Step allocates %v times per cycle", n)
+	}
+}
+
+// TestNewRejectsUnflattenableCells: an instance whose pin count
+// differs from its cell's, and a cell wider than cell.MaxInputs, are
+// bad input at construction.
+func TestNewRejectsUnflattenableCells(t *testing.T) {
+	b := builder()
+	a := b.Input("a")
+	out := b.Nand(a, a)
+	inst := b.NL.Nets[out].Driver
+	b.NL.Insts[inst].Inputs = b.NL.Insts[inst].Inputs[:1]
+	if _, err := New(b.NL); !errors.Is(err, flowerr.ErrBadInput) {
+		t.Errorf("instance with a missing pin: err %v, want bad input", err)
+	}
+
+	lib := cell.Default65nm()
+	b = netlist.NewBuilder("t", lib)
+	a = b.Input("a")
+	out = b.Gate(cell.Nand4, a, a, a, a)
+	inst = b.NL.Nets[out].Driver
+	b.NL.Insts[inst].Inputs = append(b.NL.Insts[inst].Inputs, a)
+	lib.Cell(cell.Nand4).NumInputs = cell.MaxInputs + 1
+	if _, err := New(b.NL); !errors.Is(err, flowerr.ErrBadInput) || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("cell wider than MaxInputs: err %v, want bad input", err)
 	}
 }

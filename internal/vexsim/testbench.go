@@ -3,9 +3,11 @@ package vexsim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vipipe/internal/flowerr"
 	"vipipe/internal/gsim"
+	"vipipe/internal/netlist"
 	"vipipe/internal/vex"
 )
 
@@ -33,6 +35,9 @@ func NewTestbench(core *vex.Core, prog [][]uint32, dmem []uint64) (*Testbench, e
 			return nil, fmt.Errorf("vexsim: bundle %d has %d ops, want %d", i, len(bnd), core.Cfg.Slots)
 		}
 	}
+	if err := checkRegisteredInterface(core); err != nil {
+		return nil, err
+	}
 	sim, err := gsim.New(core.NL)
 	if err != nil {
 		return nil, err
@@ -42,14 +47,34 @@ func NewTestbench(core *vex.Core, prog [][]uint32, dmem []uint64) (*Testbench, e
 	return tb, nil
 }
 
+// checkRegisteredInterface rejects a core whose memory-interface
+// outputs (PC, addresses, store data, enables) are not all flip-flop
+// outputs. Step reads them before the cycle's one combinational
+// settle, so a combinational interface net would read a stale value.
+func checkRegisteredInterface(core *vex.Core) error {
+	nl := core.NL
+	buses := append([]netlist.Word{core.PCOut, core.StEnOut, core.LdEnOut}, core.AddrOut...)
+	for _, n := range slices.Concat(append(buses, core.StDataOut...)...) {
+		if n < 0 || n >= nl.NumNets() {
+			return flowerr.BadInputf("vexsim: memory-interface net %d out of range", n)
+		}
+		if drv := nl.Nets[n].Driver; drv == netlist.NoInst || !nl.IsSequential(drv) {
+			return flowerr.BadInputf("vexsim: memory-interface net %s has no flip-flop driver", nl.Nets[n].Name)
+		}
+	}
+	return nil
+}
+
 // Step runs one clock cycle of the netlist with memory servicing.
 func (tb *Testbench) Step() {
 	core, s := tb.Core, tb.Sim
 	mask := uint64(1)<<uint(core.Cfg.Width) - 1
 
-	// Settle combinational logic so the registered memory-interface
-	// outputs (PC, addresses, enables) reflect the current cycle.
-	s.Eval()
+	// The memory-interface outputs (PC, addresses, enables) are flop
+	// outputs (checkRegisteredInterface), so presenting the flops'
+	// state is enough to read them: the cycle's one combinational
+	// settle is the one inside s.Step.
+	s.PresentState()
 
 	// Fetch service: program word at PC, NOPs beyond the program.
 	pc := s.Word(core.PCOut)

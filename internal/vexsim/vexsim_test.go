@@ -8,6 +8,7 @@ import (
 	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
 	"vipipe/internal/isa"
+	"vipipe/internal/netlist"
 	"vipipe/internal/vex"
 )
 
@@ -316,6 +317,37 @@ func TestNewFIRValidation(t *testing.T) {
 	for _, c := range []struct{ n, taps int }{{math.MaxInt, 2}, {math.MaxInt, math.MaxInt}, {DMemWords + 1, 2}} {
 		if _, err := NewFIR(vex.DefaultConfig(), c.n, c.taps, 1); !errors.Is(err, flowerr.ErrBadInput) {
 			t.Errorf("n=%d taps=%d: err %v, want bad input", c.n, c.taps, err)
+		}
+	}
+}
+
+// TestNewTestbenchRequiresRegisteredInterface: Step reads the memory
+// interface before the cycle's settle, so a core whose interface net
+// is driven by logic, or by nothing, is refused as bad input.
+func TestNewTestbenchRequiresRegisteredInterface(t *testing.T) {
+	core := smallCore(t)
+	if _, err := NewTestbench(core, nil, nil); err != nil {
+		t.Fatalf("built core refused: %v", err)
+	}
+	comb := -1
+	for i := range core.NL.Insts {
+		if !core.NL.IsSequential(i) {
+			comb = core.NL.Insts[i].Out
+			break
+		}
+	}
+	cases := map[string]func(c *vex.Core){
+		"PCOut from logic":     func(c *vex.Core) { c.PCOut = append(netlist.Word{comb}, c.PCOut[1:]...) },
+		"AddrOut from a PI":    func(c *vex.Core) { c.AddrOut = []netlist.Word{c.InstrIn[0]} },
+		"StEnOut from logic":   func(c *vex.Core) { c.StEnOut = []int{comb} },
+		"LdEnOut out of range": func(c *vex.Core) { c.LdEnOut = []int{c.NL.NumNets()} },
+		"StDataOut from logic": func(c *vex.Core) { c.StDataOut = []netlist.Word{{comb}} },
+	}
+	for name, mutate := range cases {
+		bad := *core
+		mutate(&bad)
+		if _, err := NewTestbench(&bad, nil, nil); !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("%s: err %v, want bad input", name, err)
 		}
 	}
 }
