@@ -79,8 +79,9 @@ crash-it:
 # one-iteration ci variant: it proves the benchmarks still compile and
 # run without paying measurement time, the service ones, the
 # Monte Carlo sample layers (bound, refine, a whole full-core sample,
-# the draw, a yield shard), global placement and the FIR gate-level
-# co-simulation.
+# the draw, a yield shard), global placement, the FIR gate-level
+# co-simulation, and the pipeline layer (Store.Do hit and miss per
+# store, one warm graph request).
 bench:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
 
@@ -89,6 +90,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield
 	$(GO) test -run '^$$' -bench Global -benchtime 1x ./internal/place
 	$(GO) test -run '^$$' -bench TestbenchFIR -benchtime 1x ./internal/vexsim
+	$(GO) test -run '^$$' -bench 'StoreDo|GraphRequest' -benchtime 1x ./internal/pipeline
 
 # The benchmark harness (bench/) is a module of its own, so the root
 # `go build ./...` never compiles it. bench-check vets and tests it

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,8 +29,8 @@ type Codec interface {
 // Codecs selects the codec for a node ID (the part of a store key
 // after the graph prefix, e.g. "mc/A"). Returning nil declares the
 // artifact non-persistable — engine-state artifacts like live timing
-// analyzers stay in the memory tier — and the DiskStore passes it
-// through to compute untouched.
+// analyzers stay in the memory tier — and the DiskStore's Get misses
+// and Put skips it without touching the filesystem.
 type Codecs func(nodeID string) Codec
 
 // NodeID extracts the codec-selection ID from a store key: the part
@@ -62,10 +61,11 @@ func NodeID(key string) string {
 //     every ProbeEvery skipped operations one probe attempt is let
 //     through, so a recovered disk re-enables the store by itself.
 //
-// DiskStore implements Store directly (Do, with its own singleflight
-// group) and composes with an in-memory front tier via Tiered. It is
-// safe for concurrent use by any number of goroutines and — thanks to
-// the atomic-rename discipline — by concurrent processes sharing dir.
+// DiskStore is a tier, not a Store: Get and Put serve the Tiered
+// composition, whose memory front elects the one caller per key that
+// reaches disk. It is safe for concurrent use by any number of
+// goroutines and — thanks to the atomic-rename discipline — by
+// concurrent processes sharing dir.
 type DiskStore struct {
 	dir    string
 	codecs Codecs
@@ -89,9 +89,6 @@ type DiskStore struct {
 	degradedSkips atomic.Int64
 
 	tmpSeq atomic.Int64
-
-	mu       sync.Mutex
-	inflight map[string]*memCall
 }
 
 // DiskOption configures a DiskStore.
@@ -155,7 +152,6 @@ func OpenDiskStore(dir string, codecs Codecs, opts ...DiskOption) (*DiskStore, e
 		backoff:       5 * time.Millisecond,
 		failThreshold: 4,
 		probeEvery:    32,
-		inflight:      make(map[string]*memCall),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -497,47 +493,4 @@ func (s *DiskStore) Put(ctx context.Context, key string, v any) bool {
 	span.SetAttr("outcome", "written")
 	span.SetAttr("bytes", len(payload))
 	return true
-}
-
-// Do implements Store: read-through to disk with singleflight
-// computes and write-through of successful results. Waiters honor ctx
-// exactly like MemStore.
-func (s *DiskStore) Do(ctx context.Context, key string, compute func() (any, int64, error)) (any, error) {
-	for {
-		s.mu.Lock()
-		if call, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, flowerr.Cancelledf("pipeline: wait for %q: %w", key, ctx.Err())
-			}
-			if call.err == nil {
-				return call.val, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, flowerr.Cancelledf("pipeline: wait for %q: %w", key, err)
-			}
-			continue
-		}
-		call := &memCall{done: make(chan struct{})}
-		s.inflight[key] = call
-		s.mu.Unlock()
-
-		val, _, ok := s.Get(ctx, key)
-		var err error
-		if !ok {
-			val, _, err = compute()
-			if err == nil {
-				s.Put(ctx, key, val)
-			}
-		}
-		call.val, call.err = val, err
-
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		close(call.done)
-		return val, err
-	}
 }

@@ -92,9 +92,10 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("corrupt file still at %s (err %v), want it moved aside", path, err)
 	}
 
-	// Do transparently falls back to recompute and repairs the entry.
+	// A tiered Do transparently falls back to recompute and repairs
+	// the entry.
 	computed := false
-	v, err := ds.Do(ctx, "cfg/mc/A", func() (any, int64, error) {
+	v, err := pipeline.NewTiered(pipeline.NewMemStore(), ds).Do(ctx, "cfg/mc/A", func() (any, int64, error) {
 		computed = true
 		return &storetest.Value{Key: "cfg/mc/A", N: 10}, 64, nil
 	})
@@ -172,15 +173,15 @@ func TestDiskStoreDegradedRecovery(t *testing.T) {
 	}
 }
 
-// TestDiskStoreENOSPC: a full disk fails writes, but Do still returns
-// computed values — persistence is best-effort.
+// TestDiskStoreENOSPC: a full disk fails writes, but a tiered Do still
+// returns computed values — persistence is best-effort.
 func TestDiskStoreENOSPC(t *testing.T) {
 	fs := faultinject.NewStoreFS(nil)
 	ds := mustOpen(t, t.TempDir(), fastOpts(fs)...)
 	ctx := context.Background()
 
 	fs.FailWrites(1000, syscall.ENOSPC)
-	v, err := ds.Do(ctx, "cfg/full", func() (any, int64, error) {
+	v, err := pipeline.NewTiered(pipeline.NewMemStore(), ds).Do(ctx, "cfg/full", func() (any, int64, error) {
 		return &storetest.Value{Key: "cfg/full", N: 4}, 64, nil
 	})
 	if err != nil {
@@ -217,8 +218,8 @@ func TestDiskStoreSlowDisk(t *testing.T) {
 }
 
 // TestOpenDiskStoreUnusableDir: an uncreatable store dir yields a
-// pre-degraded store plus a typed error; the store still serves via
-// compute.
+// pre-degraded store plus a typed error; a tiered store over it still
+// serves via compute.
 func TestOpenDiskStoreUnusableDir(t *testing.T) {
 	base := t.TempDir()
 	file := filepath.Join(base, "occupied")
@@ -235,7 +236,7 @@ func TestOpenDiskStoreUnusableDir(t *testing.T) {
 	if ds == nil || !ds.Degraded() {
 		t.Fatal("unusable dir must still return a degraded store")
 	}
-	v, derr := ds.Do(context.Background(), "cfg/k", func() (any, int64, error) {
+	v, derr := pipeline.NewTiered(pipeline.NewMemStore(), ds).Do(context.Background(), "cfg/k", func() (any, int64, error) {
 		return &storetest.Value{Key: "cfg/k", N: 3}, 64, nil
 	})
 	if derr != nil || v.(*storetest.Value).N != 3 {
@@ -244,10 +245,11 @@ func TestOpenDiskStoreUnusableDir(t *testing.T) {
 }
 
 // TestDiskStoreUnsafeKeys: keys that could escape the store tree are
-// refused (no file IO), but Do still serves them via compute.
+// refused (no file IO), but a tiered Do still serves them via compute.
 func TestDiskStoreUnsafeKeys(t *testing.T) {
 	dir := t.TempDir()
 	ds := mustOpen(t, dir)
+	tiered := pipeline.NewTiered(pipeline.NewMemStore(), ds)
 	ctx := context.Background()
 	for _, key := range []string{"../../etc/passwd", "a/../b", "a//b"} {
 		if ds.Put(ctx, key, &storetest.Value{Key: key, N: 1}) {
@@ -256,7 +258,7 @@ func TestDiskStoreUnsafeKeys(t *testing.T) {
 		if _, _, ok := ds.Get(ctx, key); ok {
 			t.Errorf("Get(%q) hit on an unsafe key", key)
 		}
-		v, err := ds.Do(ctx, key, func() (any, int64, error) {
+		v, err := tiered.Do(ctx, key, func() (any, int64, error) {
 			return &storetest.Value{Key: key, N: 2}, 64, nil
 		})
 		if err != nil || v.(*storetest.Value).N != 2 {

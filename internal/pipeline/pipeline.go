@@ -49,23 +49,14 @@ type Node struct {
 	Size func(v any) int64
 }
 
-// Hooks observe per-node store traffic, feeding latency histograms
-// and hit/miss counters (e.g. the /metrics registry of the service).
-// Either hook may be nil.
-type Hooks struct {
-	// OnCompute fires after a node's compute ran (a store miss) with
-	// the compute duration.
-	OnCompute func(id string, d time.Duration)
-	// OnHit fires when a node's artifact came out of the store
-	// without computing.
-	OnHit func(id string)
-	// OnResolve fires once per node after its artifact is available,
-	// whichever way it arrived (cached reports a store hit), with the
-	// artifact value. It runs on the scheduler goroutine before
-	// dependents unblock — keep it cheap and never mutate v: the same
-	// value is shared with every other consumer of the store.
-	OnResolve func(id string, v any, cached bool)
-}
+// Hook observes every node a request resolves. It fires once per
+// node, after the artifact is available, with the artifact, whether
+// it came out of the store without computing (cached), and how long
+// the node's compute ran (zero when cached). It runs on the scheduler
+// goroutine before dependents unblock — keep it cheap and never
+// mutate v: the same value is shared with every other consumer of the
+// store.
+type Hook func(id string, v any, cached bool, compute time.Duration)
 
 // Graph is an immutable-after-construction artifact graph over a
 // store. Build it with New and Add, then issue Request calls from any
@@ -73,7 +64,7 @@ type Hooks struct {
 type Graph struct {
 	prefix  string
 	store   Store
-	hooks   Hooks
+	hook    Hook
 	workers int
 	nodes   map[string]*Node
 
@@ -84,8 +75,8 @@ type Graph struct {
 // Option configures a Graph.
 type Option func(*Graph)
 
-// WithHooks installs observation hooks.
-func WithHooks(h Hooks) Option { return func(g *Graph) { g.hooks = h } }
+// WithHook installs the node hook (e.g. the service's /metrics feed).
+func WithHook(h Hook) Option { return func(g *Graph) { g.hook = h } }
 
 // WithWorkers bounds the number of node computes running at once per
 // request. n <= 0 keeps the default (GOMAXPROCS).
@@ -311,6 +302,7 @@ func (g *Graph) runNode(ctx context.Context, r *run, sem chan struct{}, id strin
 	defer nodeCancel()
 	computed := false
 	var storedSize int64
+	var computeDur time.Duration
 	v, err := g.store.Do(ctx, g.Key(id), func() (any, int64, error) {
 		computed = true
 		t0 := obs.Now()
@@ -318,9 +310,7 @@ func (g *Graph) runNode(ctx context.Context, r *run, sem chan struct{}, id strin
 		if err != nil {
 			return nil, 0, err
 		}
-		if g.hooks.OnCompute != nil {
-			g.hooks.OnCompute(id, obs.Since(t0))
-		}
+		computeDur = obs.Since(t0)
 		size := int64(1024)
 		if n.Size != nil {
 			size = n.Size(v)
@@ -341,11 +331,8 @@ func (g *Graph) runNode(ctx context.Context, r *run, sem chan struct{}, id strin
 		r.fail(id, fmt.Errorf("pipeline: node %q: %w", id, err))
 		return
 	}
-	if !computed && g.hooks.OnHit != nil {
-		g.hooks.OnHit(id)
-	}
-	if g.hooks.OnResolve != nil {
-		g.hooks.OnResolve(id, v, !computed)
+	if g.hook != nil {
+		g.hook(id, v, !computed, computeDur)
 	}
 	r.mu.Lock()
 	r.results[id] = v

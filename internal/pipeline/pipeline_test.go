@@ -196,8 +196,10 @@ func TestGraphSharedStoreSingleflight(t *testing.T) {
 	store := NewMemStore()
 	var computes atomic.Int64
 	build := func(hits *atomic.Int64) *Graph {
-		g := New("shared", store, WithHooks(Hooks{
-			OnHit: func(string) { hits.Add(1) },
+		g := New("shared", store, WithHook(func(_ string, _ any, cached bool, _ time.Duration) {
+			if cached {
+				hits.Add(1)
+			}
 		}))
 		g.MustAdd(Node{ID: "a", Compute: func(context.Context, map[string]any) (any, error) {
 			computes.Add(1)
@@ -224,8 +226,8 @@ func TestGraphSharedStoreSingleflight(t *testing.T) {
 	if got := computes.Load(); got != 1 {
 		t.Errorf("node a computed %d times across two graphs; want singleflight", got)
 	}
-	if store.Len() != 2 {
-		t.Errorf("store holds %d artifacts; want 2", store.Len())
+	if n := store.Stats().Entries; n != 2 {
+		t.Errorf("store holds %d artifacts; want 2", n)
 	}
 	// A fresh request over the warm store is all hits.
 	var hits3 atomic.Int64
@@ -240,15 +242,17 @@ func TestGraphSharedStoreSingleflight(t *testing.T) {
 func TestGraphComputeHookObservesMisses(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]int{}
-	g := New("t", NewMemStore(), WithHooks(Hooks{
-		OnCompute: func(id string, d time.Duration) {
+	g := New("t", NewMemStore(), WithHook(func(id string, _ any, cached bool, d time.Duration) {
+		switch {
+		case cached && d != 0:
+			t.Errorf("cached %s reports compute time %v; want 0", id, d)
+		case !cached && d < 0:
+			t.Errorf("negative duration for %s", id)
+		case !cached:
 			mu.Lock()
 			seen[id]++
 			mu.Unlock()
-			if d < 0 {
-				t.Errorf("negative duration for %s", id)
-			}
-		},
+		}
 	}))
 	g.MustAdd(constNode("a"))
 	g.MustAdd(constNode("b", "a"))
@@ -263,7 +267,7 @@ func TestGraphComputeHookObservesMisses(t *testing.T) {
 	}
 }
 
-// TestGraphResolveHookSeesValueAndCacheState: OnResolve fires for
+// TestGraphResolveHookSeesValueAndCacheState: the hook fires for
 // every resolved node with the artifact value, cached=false on the
 // cold pass and cached=true on the warm one.
 func TestGraphResolveHookSeesValueAndCacheState(t *testing.T) {
@@ -273,12 +277,10 @@ func TestGraphResolveHookSeesValueAndCacheState(t *testing.T) {
 		cached bool
 	}
 	seen := map[string][]resolved{}
-	g := New("t", NewMemStore(), WithHooks(Hooks{
-		OnResolve: func(id string, v any, cached bool) {
-			mu.Lock()
-			seen[id] = append(seen[id], resolved{v, cached})
-			mu.Unlock()
-		},
+	g := New("t", NewMemStore(), WithHook(func(id string, v any, cached bool, _ time.Duration) {
+		mu.Lock()
+		seen[id] = append(seen[id], resolved{v, cached})
+		mu.Unlock()
 	}))
 	g.MustAdd(constNode("a"))
 	g.MustAdd(constNode("b", "a"))
@@ -290,10 +292,10 @@ func TestGraphResolveHookSeesValueAndCacheState(t *testing.T) {
 	for _, id := range []string{"a", "b"} {
 		got := seen[id]
 		if len(got) != 2 || got[0].cached || !got[1].cached {
-			t.Fatalf("OnResolve(%s) = %+v; want cold then cached", id, got)
+			t.Fatalf("hook(%s) = %+v; want cold then cached", id, got)
 		}
 		if got[0].v == nil || got[0].v != got[1].v {
-			t.Errorf("OnResolve(%s) values = %+v; want the same artifact both passes", id, got)
+			t.Errorf("hook(%s) values = %+v; want the same artifact both passes", id, got)
 		}
 	}
 }

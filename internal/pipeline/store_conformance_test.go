@@ -9,19 +9,12 @@ import (
 	"vipipe/internal/pipeline/storetest"
 )
 
+// TestMemStoreConformance runs the suite over the unbounded store; the
+// bounded one runs it as the daemon's cache in internal/service
+// (TestCacheConformance).
 func TestMemStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) pipeline.Store {
 		return pipeline.NewMemStore()
-	})
-}
-
-func TestDiskStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) pipeline.Store {
-		ds, err := pipeline.OpenDiskStore(t.TempDir(), storetest.Codecs())
-		if err != nil {
-			t.Fatalf("OpenDiskStore: %v", err)
-		}
-		return ds
 	})
 }
 

@@ -1,9 +1,9 @@
 // Package storetest is the conformance suite for pipeline.Store
 // implementations. Every store the flow composes — pipeline.MemStore,
-// the service LRU cache, pipeline.DiskStore, the tiered combination —
-// must pass Run under -race: same singleflight guarantees, same
-// failure semantics, same cancellation behavior, so graphs can run
-// over any of them interchangeably.
+// unbounded or bounded (the daemon's cache), and pipeline.Tiered over
+// a DiskStore — must pass Run under -race: same singleflight
+// guarantees, same failure semantics, same cancellation behavior, so
+// graphs can run over any of them interchangeably.
 package storetest
 
 import (
@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vipipe/internal/flowerr"
 	"vipipe/internal/pipeline"
@@ -51,7 +52,8 @@ func (codec) Decode(data []byte) (any, error) {
 }
 
 // Codecs returns a pipeline.Codecs serving the suite's Value codec
-// for every node, so DiskStore-backed stores can join the suite.
+// for every node, so Tiered stores over a DiskStore can join the
+// suite.
 func Codecs() pipeline.Codecs {
 	return func(string) pipeline.Codec { return codec{} }
 }
@@ -63,6 +65,7 @@ func Run(t *testing.T, mk func(t *testing.T) pipeline.Store) {
 	t.Run("failed_compute_not_cached", func(t *testing.T) { failedCompute(t, mk(t)) })
 	t.Run("singleflight", func(t *testing.T) { singleflight(t, mk(t)) })
 	t.Run("waiter_cancellation", func(t *testing.T) { waiterCancellation(t, mk(t)) })
+	t.Run("waiter_retries_after_failure", func(t *testing.T) { waiterRetries(t, mk(t)) })
 	t.Run("concurrent_keys", func(t *testing.T) { concurrentKeys(t, mk(t)) })
 }
 
@@ -190,6 +193,53 @@ func waiterCancellation(t *testing.T, s pipeline.Store) {
 	}
 	close(release)
 	<-done
+}
+
+// waiterRetries: a waiter parked on a compute that fails becomes the
+// owner and recomputes, rather than inheriting the failure — one
+// cancelled job must not fail every job waiting on the same key.
+func waiterRetries(t *testing.T, s pipeline.Store) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	fail := errors.New("owner cancelled")
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		if _, err := s.Do(context.Background(), "cfg/retry", func() (any, int64, error) {
+			close(started)
+			<-release
+			return nil, 0, fail
+		}); !errors.Is(err, fail) {
+			t.Errorf("owner Do returned %v, want its own failure", err)
+		}
+	}()
+	<-started
+
+	type result struct {
+		v   any
+		err error
+	}
+	waiting := make(chan struct{})
+	waiter := make(chan result, 1)
+	go func() {
+		close(waiting)
+		v, err := s.Do(context.Background(), "cfg/retry", func() (any, int64, error) {
+			return &Value{Key: "cfg/retry", N: 5}, 64, nil
+		})
+		waiter <- result{v, err}
+	}()
+	<-waiting
+	// Give the waiter time to park on the owner's compute. A waiter
+	// that arrives after the failure computes directly and passes too,
+	// so the sleep only decides which path runs, never the verdict.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	<-ownerDone
+	res := <-waiter
+	if res.err != nil {
+		t.Fatalf("waiter Do returned %v, want its own recompute", res.err)
+	}
+	wantValue(t, res.v, "cfg/retry", 5)
 }
 
 // concurrentKeys: many goroutines hammering several keys under -race;

@@ -6,12 +6,10 @@ import (
 	"vipipe/internal/obs"
 )
 
-// Tiered composes an in-memory front tier (MemStore, or the service
-// LRU cache — anything implementing Store) over a DiskStore:
-// read-through on miss, write-through on compute. The memory tier
-// keeps its own singleflight semantics, so per-key concurrency control
-// stays where it already lives; the disk tier only ever sees the one
-// caller the front tier elected to compute.
+// Tiered composes an in-memory front tier (a MemStore, bounded or
+// not) over a DiskStore: read-through on miss, write-through on
+// compute. The memory tier runs the singleflight, so the disk tier
+// only ever sees the one caller the front tier elected to compute.
 //
 // A disk hit surfaces to the graph as a cache hit (the compute closure
 // returned without recomputing) with a "tier: disk" attribute on the

@@ -7,183 +7,23 @@
 // parameterized queries that share them.
 package service
 
-import (
-	"container/list"
-	"context"
-	"sync"
-	"sync/atomic"
+import "vipipe/internal/pipeline"
 
-	"vipipe/internal/flowerr"
-)
-
-// Cache is a size-bounded, content-addressed LRU over flow artifacts.
-// Keys are derived from vipipe.Config.Hash plus the artifact path
+// Cache is the daemon's artifact cache: the pipeline's in-memory store
+// with a byte bound. Keys are vipipe.Config.Hash plus the artifact path
 // (e.g. "a1b2.../mc/B"), so identical configurations share one
 // synthesize+place+analyze+characterize no matter how many jobs ask.
-//
-// Do is singleflight: concurrent callers of the same missing key block
-// on one compute instead of duplicating it. A failed compute is never
-// cached — the next caller retries — so one cancelled job cannot
-// poison the key for everyone else.
-type Cache struct {
-	mu       sync.Mutex
-	capBytes int64
-	size     int64
-	ll       *list.List // front = most recently used, of *cacheEntry
-	items    map[string]*list.Element
-	inflight map[string]*cacheCall
+type Cache = pipeline.MemStore
 
-	hits, misses, evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key  string
-	val  any
-	size int64
-}
-
-type cacheCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
+// CacheStats is the cache's accounting snapshot for /metrics.
+type CacheStats = pipeline.MemStats
 
 // NewCache returns a cache bounded to roughly capBytes of artifact
 // cost (as reported by the compute callbacks; estimates, not exact
-// heap bytes).
+// heap bytes). capBytes <= 0 means 1 GiB.
 func NewCache(capBytes int64) *Cache {
 	if capBytes <= 0 {
 		capBytes = 1 << 30
 	}
-	return &Cache{
-		capBytes: capBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*cacheCall),
-	}
-}
-
-// Do returns the cached value for key, or runs compute once — however
-// many goroutines ask concurrently — and caches its result. compute
-// reports the artifact's approximate retained size for the LRU bound.
-// Waiters honor ctx: a cancelled waiter returns early with an error
-// matching flowerr.ErrCancelled while the compute (owned by the first
-// caller) continues for the others.
-func (c *Cache) Do(ctx context.Context, key string, compute func() (any, int64, error)) (any, error) {
-	for {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			v := el.Value.(*cacheEntry).val
-			c.hits.Add(1)
-			c.mu.Unlock()
-			return v, nil
-		}
-		if call, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, flowerr.Cancelledf("cache: wait for %q: %w", key, ctx.Err())
-			}
-			if call.err == nil {
-				return call.val, nil
-			}
-			// The computing caller failed (its cancellation, its
-			// panic): retry from the top — this caller may own the
-			// recompute now.
-			if err := ctx.Err(); err != nil {
-				return nil, flowerr.Cancelledf("cache: wait for %q: %w", key, err)
-			}
-			continue
-		}
-		call := &cacheCall{done: make(chan struct{})}
-		c.inflight[key] = call
-		c.misses.Add(1)
-		c.mu.Unlock()
-
-		val, size, err := compute()
-		call.val, call.err = val, err
-
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if err == nil {
-			c.insert(key, val, size)
-		}
-		c.mu.Unlock()
-		close(call.done)
-		return val, err
-	}
-}
-
-// Get returns the cached value without computing, counting a hit or
-// miss.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*cacheEntry).val, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// insert adds an entry and evicts LRU entries past the byte bound; the
-// caller holds mu. The just-inserted entry is never evicted, even when
-// it alone exceeds the bound — evicting it would turn every access
-// into a recompute of the most expensive artifact.
-func (c *Cache) insert(key string, val any, size int64) {
-	if size < 1 {
-		size = 1
-	}
-	if el, ok := c.items[key]; ok { // lost a race via Do retry loop
-		c.size -= el.Value.(*cacheEntry).size
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-	e := &cacheEntry{key: key, val: val, size: size}
-	c.items[key] = c.ll.PushFront(e)
-	c.size += size
-	for c.size > c.capBytes && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		be := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, be.key)
-		c.size -= be.size
-		c.evictions.Add(1)
-	}
-}
-
-// CacheStats is an accounting snapshot for /metrics.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	SizeBytes int64 `json:"size_bytes"`
-	CapBytes  int64 `json:"cap_bytes"`
-}
-
-// HitRate returns hits / (hits + misses), 0 when idle.
-func (s CacheStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-// Stats snapshots the accounting counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.ll.Len(),
-		SizeBytes: c.size,
-		CapBytes:  c.capBytes,
-	}
+	return pipeline.NewBoundedMemStore(capBytes)
 }

@@ -118,11 +118,14 @@ func (s ConfigSpec) Validate() error {
 	return nil
 }
 
-// ToConfig resolves the spec against its base profile.
+// ToConfig resolves the spec against its base profile, building only
+// the profile it keeps: each profile builds its variation model.
 func (s ConfigSpec) ToConfig() vipipe.Config {
-	cfg := vipipe.DefaultConfig()
+	var cfg vipipe.Config
 	if s.Small {
 		cfg = vipipe.TestConfig()
+	} else {
+		cfg = vipipe.DefaultConfig()
 	}
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
@@ -157,12 +160,16 @@ type Engine struct {
 	m     *Metrics
 
 	mu sync.Mutex
-	// graphs memoizes the per-config node definitions. Entries are a
-	// few closures each (the heavy artifacts live in the bounded
-	// cache, not here), so the map is left to grow with the number of
-	// distinct configs the daemon has seen.
+	// graphs memoizes the per-config node definitions (~36 KB each; the
+	// heavy artifacts live in the bounded cache, not here). Every new
+	// seed a client sends is a new config, so the memo is cleared when
+	// it holds maxGraphs.
 	graphs map[string]*pipeline.Graph
 }
+
+// maxGraphs bounds Engine.graphs; rebuilding a cleared graph costs
+// ~0.1 ms.
+const maxGraphs = 64
 
 // EngineOption configures optional engine layers.
 type EngineOption func(*Engine)
@@ -205,9 +212,7 @@ func (e *Engine) DiskStore() *pipeline.DiskStore { return e.disk }
 // not persisting and /metrics + job snapshots surface the condition.
 func (e *Engine) Degraded() bool { return e.disk != nil && e.disk.Degraded() }
 
-// graph returns the memoized artifact graph for a config, with hooks
-// feeding the per-artifact latency histograms ("artifact.<node>") and
-// hit counters ("artifact_hits.<node>") of /metrics.
+// graph returns the memoized artifact graph for a config.
 func (e *Engine) graph(cfg vipipe.Config) *pipeline.Graph {
 	hash := cfg.Hash()
 	e.mu.Lock()
@@ -215,87 +220,161 @@ func (e *Engine) graph(cfg vipipe.Config) *pipeline.Graph {
 	if g, ok := e.graphs[hash]; ok {
 		return g
 	}
-	g := vipipe.NewGraph(cfg, e.store, pipeline.WithHooks(pipeline.Hooks{
-		OnCompute: func(id string, d time.Duration) { e.m.ObserveStep("artifact."+id, d) },
-		OnHit:     func(id string) { e.m.Inc("artifact_hits." + id) },
-	}))
+	if len(e.graphs) >= maxGraphs {
+		clear(e.graphs)
+	}
+	g := vipipe.NewGraph(cfg, e.store, pipeline.WithHook(e.observe))
 	e.graphs[hash] = g
 	return g
 }
 
-// Validate checks a request without running it, so frontends can
-// reject malformed submissions synchronously with ErrBadInput.
-func (e *Engine) Validate(req Request) error {
-	_, err := resolve(req)
-	return err
+// observe is the node hook of every engine graph: a computed node
+// feeds the latency histogram "artifact.<node>" of /metrics, a cached
+// one the counter "artifact_hits.<node>". Field-sweep nodes aggregate
+// under "field_shard" and "field_surface" — per-shard names would grow
+// the registry with every distinct plan.
+func (e *Engine) observe(id string, _ any, cached bool, d time.Duration) {
+	name := id
+	switch {
+	case strings.HasPrefix(id, "field/surface/"):
+		name = "field_surface"
+	case strings.HasPrefix(id, "field/"):
+		name = "field_shard"
+	}
+	if cached {
+		e.m.Inc("artifact_hits." + name)
+	} else {
+		e.m.ObserveStep("artifact."+name, d)
+	}
 }
 
-// resolve validates a request and returns its flow configuration,
-// resolved once: ToConfig rebuilds the variation model, a fraction of a
-// millisecond per call, on every request.
-func resolve(req Request) (vipipe.Config, error) {
+// kind is one row of the request table: the fields a request kind
+// reads, and how it is answered — a single-artifact kind names its
+// terminal graph node and wire encoder, a composite kind its run
+// function.
+type kind struct {
+	position, strategy, scenario, queries, plan bool
+
+	node   func(r *resolved) string
+	encode func(v any) any
+
+	run func(e *Engine, ctx context.Context, r *resolved) (any, error)
+}
+
+// kinds is the request table, keyed by Request.Kind.
+var kinds = map[string]kind{
+	"characterize": {position: true,
+		node:   func(r *resolved) string { return vipipe.NodeMC(r.pos.Name) },
+		encode: func(v any) any { return wire.FromMCResult(v.(*mc.Result)) }},
+	"islands": {strategy: true,
+		node:   func(r *resolved) string { return vipipe.NodeIslands(r.strat) },
+		encode: func(v any) any { return wire.FromPartition(v.(*vi.Partition)) }},
+	"chipwide_power": {position: true,
+		node:   func(r *resolved) string { return vipipe.NodeChipWidePower(r.pos.Name) },
+		encode: func(v any) any { return wire.FromPowerReport(v.(*power.Report)) }},
+	"scenario_power": {strategy: true, scenario: true, position: true,
+		node:   func(r *resolved) string { return vipipe.NodeScenarioPower(r.strat, r.scenario, r.pos.Name) },
+		encode: func(v any) any { return wire.FromPowerReport(v.(*power.Report)) }},
+	"drc": {
+		node:   func(*resolved) string { return vipipe.NodeDRC },
+		encode: func(v any) any { return wire.FromDRCReport(v.(*drc.Report)) }},
+	"sweep":       {strategy: true, run: (*Engine).sweep},
+	"whatif":      {strategy: true, position: true, queries: true, run: (*Engine).whatIf},
+	"field_sweep": {plan: true, run: (*Engine).fieldSweep},
+}
+
+// resolved is a request parsed and checked once: its table row, its
+// flow configuration, and every field its kind reads.
+type resolved struct {
+	kind     kind
+	cfg      vipipe.Config
+	pos      variation.Pos
+	strat    vi.Strategy
+	scenario int
+	queries  []tmodel.Query
+	plan     yield.Plan
+}
+
+// MaxQueries bounds a whatif job's query list. A query outside the
+// timing model's domain runs one exact STA (~5 ms on the full-size
+// core), so an unbounded list could occupy a worker for hours; the
+// bound matches the field sweep's grid and curve-point bounds.
+const MaxQueries = 4096
+
+// resolve checks a request and parses each field its kind reads, so
+// frontends can reject malformed submissions synchronously with
+// ErrBadInput and workers run what was checked.
+func resolve(req Request) (*resolved, error) {
+	k, ok := kinds[req.Kind]
+	if !ok {
+		return nil, flowerr.BadInputf("service: unknown request kind %q", req.Kind)
+	}
 	if err := req.Config.Validate(); err != nil {
-		return vipipe.Config{}, err
+		return nil, err
 	}
-	cfg := req.Config.ToConfig()
-	if err := vexsim.ValidateFIR(cfg.Core, cfg.FIRSamples, cfg.FIRTaps); err != nil {
-		return vipipe.Config{}, err
+	r := &resolved{kind: k, cfg: req.Config.ToConfig(), scenario: req.Scenario}
+	if err := vexsim.ValidateFIR(r.cfg.Core, r.cfg.FIRSamples, r.cfg.FIRTaps); err != nil {
+		return nil, err
 	}
-	return cfg, validateKind(req, cfg)
+	if k.strategy {
+		strat, err := vi.ParseStrategy(strings.ToLower(req.Strategy))
+		if err != nil {
+			return nil, err
+		}
+		r.strat = strat
+	}
+	if k.scenario && (req.Scenario < 0 || req.Scenario > 3) {
+		return nil, flowerr.BadInputf("service: scenario %d out of range 0..3", req.Scenario)
+	}
+	if k.position {
+		pos, ok := r.cfg.Model.Position(req.Position)
+		if !ok {
+			return nil, flowerr.BadInputf("service: unknown chip position %q (model defines A-D)", req.Position)
+		}
+		r.pos = pos
+	}
+	if k.queries {
+		qs, err := whatIfQueries(req.Queries)
+		if err != nil {
+			return nil, err
+		}
+		r.queries = qs
+	}
+	if k.plan {
+		plan, err := fieldPlan(req, r.cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.plan = plan
+	}
+	return r, nil
 }
 
-// validateKind checks the kind-specific fields of a request.
-func validateKind(req Request, cfg vipipe.Config) error {
-	switch req.Kind {
-	case "characterize", "chipwide_power":
-		_, err := parsePos(cfg, req.Position)
-		return err
-	case "islands":
-		_, err := parseStrategy(req.Strategy)
-		return err
-	case "sweep":
-		_, err := parseStrategy(req.Strategy)
-		return err
-	case "scenario_power":
-		if _, err := parseStrategy(req.Strategy); err != nil {
-			return err
-		}
-		if req.Scenario < 0 || req.Scenario > 3 {
-			return flowerr.BadInputf("service: scenario %d out of range 0..3", req.Scenario)
-		}
-		_, err := parsePos(cfg, req.Position)
-		return err
-	case "field_sweep":
-		_, err := fieldPlan(req, cfg)
-		return err
-	case "whatif":
-		if _, err := parseStrategy(req.Strategy); err != nil {
-			return err
-		}
-		if _, err := parsePos(cfg, req.Position); err != nil {
-			return err
-		}
-		if len(req.Queries) == 0 {
-			return flowerr.BadInputf("service: whatif needs at least one query")
-		}
-		for i, q := range req.Queries {
-			if q.Raise < 0 {
-				return flowerr.BadInputf("service: whatif query %d: negative raise %d", i, q.Raise)
-			}
-			if ov := q.Overlay; ov != nil {
-				disc := yield.PosOverlay{Pos: "whatif query " + strconv.Itoa(i),
-					XMM: ov.XMM, YMM: ov.YMM, RMM: ov.RMM, DeltaFrac: ov.DeltaFrac}
-				if err := disc.Validate(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case "drc":
-		return nil
-	default:
-		return flowerr.BadInputf("service: unknown request kind %q", req.Kind)
+// whatIfQueries checks a whatif job's query list and converts it to
+// timing-model queries.
+func whatIfQueries(specs []WhatIfSpec) ([]tmodel.Query, error) {
+	if len(specs) == 0 {
+		return nil, flowerr.BadInputf("service: whatif needs at least one query")
 	}
+	if len(specs) > MaxQueries {
+		return nil, flowerr.BadInputf("service: whatif has %d queries, more than %d", len(specs), MaxQueries)
+	}
+	qs := make([]tmodel.Query, len(specs))
+	for i, s := range specs {
+		if s.Raise < 0 {
+			return nil, flowerr.BadInputf("service: whatif query %d: negative raise %d", i, s.Raise)
+		}
+		qs[i] = tmodel.Query{Raise: s.Raise, Shifters: s.Shifters}
+		if ov := s.Overlay; ov != nil {
+			disc := yield.PosOverlay{Pos: "whatif query " + strconv.Itoa(i),
+				XMM: ov.XMM, YMM: ov.YMM, RMM: ov.RMM, DeltaFrac: ov.DeltaFrac}
+			if err := disc.Validate(); err != nil {
+				return nil, err
+			}
+			qs[i].Overlay = &tmodel.Disc{XMM: ov.XMM, YMM: ov.YMM, RMM: ov.RMM, DeltaFrac: ov.DeltaFrac}
+		}
+	}
+	return qs, nil
 }
 
 // fieldPlan resolves a field_sweep request into a validated yield
@@ -339,62 +418,28 @@ func fieldPlan(req Request, cfg vipipe.Config) (yield.Plan, error) {
 }
 
 // Run executes one request and returns its wire-typed result:
-// wire.MCResult, wire.Partition, wire.PowerReport, wire.Sweep or
-// wire.DRCReport depending on Kind. Each kind maps to one terminal
-// graph artifact (sweep batches several); the graph schedules the
-// missing parts of the dependency closure concurrently.
+// wire.MCResult, wire.Partition, wire.PowerReport, wire.Sweep,
+// wire.Surface, wire.WhatIf or wire.DRCReport depending on Kind. The
+// graph schedules the missing parts of each kind's dependency closure
+// concurrently.
 func (e *Engine) Run(ctx context.Context, req Request) (any, error) {
-	cfg, err := resolve(req)
+	r, err := resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	g := e.graph(cfg)
-	switch req.Kind {
-	case "characterize":
-		pos, _ := parsePos(cfg, req.Position)
-		v, err := g.RequestOne(ctx, vipipe.NodeMC(pos.Name))
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromMCResult(v.(*mc.Result)), nil
-	case "islands":
-		strat, _ := parseStrategy(req.Strategy)
-		v, err := g.RequestOne(ctx, vipipe.NodeIslands(strat))
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromPartition(v.(*vi.Partition)), nil
-	case "chipwide_power":
-		pos, _ := parsePos(cfg, req.Position)
-		v, err := g.RequestOne(ctx, vipipe.NodeChipWidePower(pos.Name))
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromPowerReport(v.(*power.Report)), nil
-	case "scenario_power":
-		strat, _ := parseStrategy(req.Strategy)
-		pos, _ := parsePos(cfg, req.Position)
-		v, err := g.RequestOne(ctx, vipipe.NodeScenarioPower(strat, req.Scenario, pos.Name))
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromPowerReport(v.(*power.Report)), nil
-	case "sweep":
-		strat, _ := parseStrategy(req.Strategy)
-		return e.sweep(ctx, cfg, g, strat)
-	case "field_sweep":
-		return e.fieldSweep(ctx, cfg, req)
-	case "whatif":
-		return e.whatIf(ctx, cfg, g, req)
-	case "drc":
-		v, err := g.RequestOne(ctx, vipipe.NodeDRC)
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromDRCReport(v.(*drc.Report)), nil
-	default:
-		return nil, flowerr.BadInputf("service: unknown request kind %q", req.Kind)
+	return e.run(ctx, r)
+}
+
+// run answers a resolved request from its table row.
+func (e *Engine) run(ctx context.Context, r *resolved) (any, error) {
+	if r.kind.run != nil {
+		return r.kind.run(e, ctx, r)
 	}
+	v, err := e.graph(r.cfg).RequestOne(ctx, r.kind.node(r))
+	if err != nil {
+		return nil, err
+	}
+	return r.kind.encode(v), nil
 }
 
 // sweep runs the Fig. 5 query: for each diagonal position, classify
@@ -403,9 +448,10 @@ func (e *Engine) Run(ctx context.Context, req Request) (any, error) {
 // baseline. It issues two batched graph requests — characterizations
 // plus partition, then all power reports — so independent nodes run
 // concurrently.
-func (e *Engine) sweep(ctx context.Context, cfg vipipe.Config, g *pipeline.Graph, strat vi.Strategy) (wire.Sweep, error) {
+func (e *Engine) sweep(ctx context.Context, r *resolved) (any, error) {
+	g, strat := e.graph(r.cfg), r.strat
 	out := wire.Sweep{Strategy: strat.String()}
-	positions := cfg.Model.DiagonalPositions()
+	positions := r.cfg.Model.DiagonalPositions()
 
 	ids := []string{vipipe.NodeIslands(strat)}
 	for _, pos := range positions {
@@ -413,7 +459,7 @@ func (e *Engine) sweep(ctx context.Context, cfg vipipe.Config, g *pipeline.Graph
 	}
 	arts, err := g.Request(ctx, ids...)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	part := arts[vipipe.NodeIslands(strat)].(*vi.Partition)
 
@@ -435,7 +481,7 @@ func (e *Engine) sweep(ctx context.Context, cfg vipipe.Config, g *pipeline.Graph
 	}
 	arts, err = g.Request(ctx, powerIDs...)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	for _, pos := range positions {
 		k := scenario[pos.Name]
@@ -464,41 +510,32 @@ func (e *Engine) sweep(ctx context.Context, cfg vipipe.Config, g *pipeline.Graph
 // microseconds. Out-of-domain queries fall back to one exact STA run
 // each; /metrics splits the two paths as whatif.composed and
 // whatif.fallback.
-func (e *Engine) whatIf(ctx context.Context, cfg vipipe.Config, g *pipeline.Graph, req Request) (wire.WhatIf, error) {
-	strat, _ := parseStrategy(req.Strategy)
-	pos, _ := parsePos(cfg, req.Position)
-	id := vipipe.NodeTimingModel(strat, pos.Name)
-	arts, err := g.Request(ctx, id, vipipe.NodeAnalyze, vipipe.NodeIslands(strat))
+func (e *Engine) whatIf(ctx context.Context, r *resolved) (any, error) {
+	id := vipipe.NodeTimingModel(r.strat, r.pos.Name)
+	arts, err := e.graph(r.cfg).Request(ctx, id, vipipe.NodeAnalyze, vipipe.NodeIslands(r.strat))
 	if err != nil {
-		return wire.WhatIf{}, err
+		return nil, err
 	}
 	tm := arts[vipipe.NodeAnalyze].(*vipipe.Timing)
-	part := arts[vipipe.NodeIslands(strat)].(*vi.Partition)
+	part := arts[vipipe.NodeIslands(r.strat)].(*vi.Partition)
 	m := arts[id].(*tmodel.Model)
 	out := wire.WhatIf{
-		Strategy: strat.String(),
-		Position: pos.Name,
+		Strategy: r.strat.String(),
+		Position: r.pos.Name,
 		ClockPS:  m.ClockPS,
 		Islands:  part.NumIslands(),
 	}
-	for i, qs := range req.Queries {
-		q := tmodel.Query{Raise: qs.Raise, Shifters: qs.Shifters}
-		if qs.Overlay != nil {
-			q.Overlay = &tmodel.Disc{
-				XMM: qs.Overlay.XMM, YMM: qs.Overlay.YMM,
-				RMM: qs.Overlay.RMM, DeltaFrac: qs.Overlay.DeltaFrac,
-			}
-		}
-		ans, err := vipipe.EvalWhatIf(cfg, tm, part, m, pos, q)
+	for i, q := range r.queries {
+		ans, err := vipipe.EvalWhatIf(r.cfg, tm, part, m, r.pos, q)
 		if err != nil {
-			return wire.WhatIf{}, flowerr.BadInputf("service: whatif query %d: %v", i, err)
+			return nil, flowerr.BadInputf("service: whatif query %d: %v", i, err)
 		}
 		if ans.Exact {
 			e.m.Inc("whatif.fallback")
 		} else {
 			e.m.Inc("whatif.composed")
 		}
-		out.Answers = append(out.Answers, wire.FromWhatIfAnswer(qs.Raise, qs.Shifters, ans))
+		out.Answers = append(out.Answers, wire.FromWhatIfAnswer(q.Raise, q.Shifters, ans))
 	}
 	return out, nil
 }
@@ -509,81 +546,54 @@ func (e *Engine) whatIf(ctx context.Context, cfg vipipe.Config, g *pipeline.Grap
 // few closures per shard; the store still deduplicates the artifacts,
 // so two requests with the same plan share every shard, and a request
 // differing at one position recomputes only that position's shards.
-// Hook wiring feeds /metrics (computed vs cache-hit shard counters,
-// aggregate shard latency), the job-snapshot progress sink, and the
-// live /events stream: OnResolve sees each shard artifact with its
-// cache disposition, so every shard completion carries the position's
+// Its hook adds shard accounting to observe's metrics: computed vs
+// cache-hit shard counters, and one shard event per shard for the job
+// progress and the live /events stream, carrying the position's
 // running median yield over the shards folded so far.
-func (e *Engine) fieldSweep(ctx context.Context, cfg vipipe.Config, req Request) (wire.Surface, error) {
-	plan, err := fieldPlan(req, cfg)
-	if err != nil {
-		return wire.Surface{}, err
-	}
-	total := plan.NumShards()
+func (e *Engine) fieldSweep(ctx context.Context, r *resolved) (any, error) {
+	total := r.plan.NumShards()
 	var mu sync.Mutex
 	done := 0
 	running := make(map[string]yield.ShardStat)
-	// Shard metrics aggregate under one name — per-shard keys would
-	// grow the registry with every distinct plan.
-	metricName := func(id string) string {
-		switch {
-		case strings.HasPrefix(id, "field/surface/"):
-			return "field_surface"
-		case strings.HasPrefix(id, "field/"):
-			return "field_shard"
-		default:
-			return id
+	hook := func(id string, v any, cached bool, d time.Duration) {
+		e.observe(id, v, cached, d)
+		st, ok := v.(*yield.ShardStat)
+		if !ok {
+			return // surface node or other kinds
 		}
+		if cached {
+			e.m.Inc("yield.shards_cached")
+		} else {
+			e.m.Inc("yield.shards_computed")
+		}
+		mu.Lock()
+		done++
+		acc, seen := running[st.Key]
+		if !seen {
+			acc = *st
+		} else if merged, err := acc.Merge(*st); err == nil {
+			acc = merged
+		}
+		running[st.Key] = acc
+		// Report before unlocking: shards resolve concurrently, and
+		// their events must go out in Done order.
+		reportShard(ctx, ShardEvent{
+			Pos:    st.Pos,
+			Shard:  shardIndex(id),
+			Cached: cached,
+			Done:   done,
+			Total:  total,
+			Yield:  medianYield(acc),
+		})
+		mu.Unlock()
 	}
-	hooks := pipeline.WithHooks(pipeline.Hooks{
-		OnCompute: func(id string, dur time.Duration) {
-			e.m.ObserveStep("artifact."+metricName(id), dur)
-		},
-		OnHit: func(id string) {
-			e.m.Inc("artifact_hits." + metricName(id))
-		},
-		OnResolve: func(id string, v any, cached bool) {
-			st, ok := v.(*yield.ShardStat)
-			if !ok {
-				return // surface node or other kinds
-			}
-			if cached {
-				e.m.Inc("yield.shards_cached")
-			} else {
-				e.m.Inc("yield.shards_computed")
-			}
-			mu.Lock()
-			done++
-			d := done
-			acc, seen := running[st.Key]
-			if !seen {
-				acc = *st
-			} else if merged, err := acc.Merge(*st); err == nil {
-				acc = merged
-			}
-			running[st.Key] = acc
-			// Report before unlocking: shards resolve concurrently, and
-			// their events must go out in Done order.
-			reportProgress(ctx, d, total)
-			reportShard(ctx, ShardEvent{
-				Pos:    st.Pos,
-				Shard:  shardIndex(id),
-				Cached: cached,
-				Done:   d,
-				Total:  total,
-				Yield:  medianYield(acc),
-			})
-			mu.Unlock()
-		},
-	})
-	reportProgress(ctx, 0, total)
-	g, surfaceID, err := vipipe.NewYieldGraph(cfg, plan, e.store, hooks)
+	g, surfaceID, err := vipipe.NewYieldGraph(r.cfg, r.plan, e.store, pipeline.WithHook(hook))
 	if err != nil {
-		return wire.Surface{}, err
+		return nil, err
 	}
 	v, err := g.RequestOne(ctx, surfaceID)
 	if err != nil {
-		return wire.Surface{}, err
+		return nil, err
 	}
 	return wire.FromSurface(v.(*yield.Surface)), nil
 }
@@ -616,15 +626,4 @@ func medianYield(st yield.ShardStat) float64 {
 		return 0
 	}
 	return ys[len(ys)/2]
-}
-
-func parsePos(cfg vipipe.Config, name string) (variation.Pos, error) {
-	if p, ok := cfg.Model.Position(name); ok {
-		return p, nil
-	}
-	return variation.Pos{}, flowerr.BadInputf("service: unknown chip position %q (model defines A-D)", name)
-}
-
-func parseStrategy(s string) (vi.Strategy, error) {
-	return vi.ParseStrategy(strings.ToLower(s))
 }

@@ -35,7 +35,11 @@ type Job struct {
 	ID  string
 	Req Request
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// resolved is Req as Submit checked and parsed it, for the worker
+	// to run; it is dropped at any terminal state, since the job table
+	// keeps every job until exit.
+	resolved *resolved
 	state    JobState
 	err      error
 	result   any
@@ -48,8 +52,7 @@ type Job struct {
 	done chan struct{}
 }
 
-// setProgress records a completion update; the worker threads it into
-// the request context via WithProgress.
+// setProgress records a completion update from the job's shard sink.
 func (j *Job) setProgress(done, total int) {
 	j.mu.Lock()
 	j.progress = &Progress{Done: done, Total: total}
@@ -255,7 +258,8 @@ var (
 // all (ErrClientSaturated). Both map to HTTP 429 with a Retry-After;
 // each has its own /metrics counter.
 func (m *Manager) Submit(req Request) (*Job, error) {
-	if err := m.eng.Validate(req); err != nil {
+	r, err := resolve(req)
+	if err != nil {
 		m.m.JobsRejected.Add(1)
 		return nil, err
 	}
@@ -276,11 +280,12 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 	m.nextID++
 	job := &Job{
-		ID:      fmt.Sprintf("job-%06d", m.nextID),
-		Req:     req,
-		state:   JobQueued,
-		created: obs.Now(),
-		done:    make(chan struct{}),
+		ID:       fmt.Sprintf("job-%06d", m.nextID),
+		Req:      req,
+		resolved: r,
+		state:    JobQueued,
+		created:  obs.Now(),
+		done:     make(chan struct{}),
 	}
 	select {
 	case m.queue <- job:
@@ -351,6 +356,7 @@ func (m *Manager) Cancel(id string) (JobSnapshot, bool) {
 	case JobQueued:
 		job.state = JobCancelled
 		job.err = flowerr.Cancelledf("service: job %s cancelled while queued", job.ID)
+		job.resolved = nil
 		job.finished = obs.Now()
 		close(job.done)
 		m.m.JobsCancelled.Add(1)
@@ -380,9 +386,13 @@ func (m *Manager) worker() {
 			continue
 		}
 		ctx, cancel := context.WithCancel(context.Background())
+		r := job.resolved
 		job.state = JobRunning
 		job.started = obs.Now()
 		job.cancel = cancel
+		if r.kind.plan {
+			job.progress = &Progress{Total: r.plan.NumShards()}
+		}
 		job.mu.Unlock()
 		m.log.Info("job started", "job", job.ID, "kind", job.Req.Kind)
 		m.publish(Event{Type: EventRunning, Job: job.ID, Kind: job.Req.Kind, State: JobRunning})
@@ -392,18 +402,19 @@ func (m *Manager) worker() {
 		tr := obs.NewTracer(job.ID, job.Req.Kind)
 		ctx = obs.WithTracer(ctx, tr)
 		ctx, root := obs.Start(ctx, "job."+job.Req.Kind)
-		ctx = WithProgress(ctx, job.setProgress)
 		ctx = WithShardEvents(ctx, func(se ShardEvent) {
+			job.setProgress(se.Done, se.Total)
 			sh := se
 			m.publish(Event{Type: EventShard, Job: job.ID, Kind: job.Req.Kind, State: JobRunning, Shard: &sh})
 		})
 
 		m.m.WorkersBusy.Add(1)
-		res, err := m.eng.Run(ctx, job.Req)
+		res, err := m.eng.run(ctx, r)
 		m.m.WorkersBusy.Add(-1)
 		cancel()
 
 		job.mu.Lock()
+		job.resolved = nil
 		job.finished = obs.Now()
 		switch {
 		case err == nil:

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +69,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.ObserveStep("mc", 5*time.Millisecond)
 
 	cache := NewCache(1 << 10)
-	cache.Get("missing") // one miss
+	if _, err := cache.Do(context.Background(), "k", func() (any, int64, error) { return "v", 1, nil }); err != nil {
+		t.Fatal(err) // one miss
+	}
 
 	s := m.Snapshot(cache, nil)
 	if s.Jobs.Submitted != 3 || s.Jobs.Completed != 2 || s.Jobs.Failed != 1 {

@@ -10,29 +10,11 @@ type Progress struct {
 	Total int `json:"total"`
 }
 
-// ProgressFunc receives completion updates from a running request.
-type ProgressFunc func(done, total int)
-
-type progressKey struct{}
-
-// WithProgress attaches a progress sink to a request context. The
-// worker wires each job's snapshot updater in before Engine.Run, so
-// long sweeps report shard counts on /jobs while still running.
-func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
-	return context.WithValue(ctx, progressKey{}, fn)
-}
-
-// reportProgress delivers an update to the context's sink, if any.
-func reportProgress(ctx context.Context, done, total int) {
-	if fn, ok := ctx.Value(progressKey{}).(ProgressFunc); ok && fn != nil {
-		fn(done, total)
-	}
-}
-
 // ShardFunc receives per-shard completion events from a running
 // field sweep. It runs on the pipeline scheduler goroutine, so sinks
-// must stay cheap and non-blocking (the manager's sink publishes to
-// the hub, which never waits on subscribers).
+// must stay cheap and non-blocking (the manager's sink updates the
+// job's progress and publishes to the hub, which never waits on
+// subscribers).
 type ShardFunc func(ShardEvent)
 
 type shardKey struct{}

@@ -134,9 +134,14 @@ func (s *Server) snapshot(job *Job) JobSnapshot {
 	return snap
 }
 
+// maxRequestBytes bounds a submitted body. The largest request the
+// other bounds admit — 4,096 what-if queries, each with an overlay
+// disc — encodes to 1–2 MiB of indented JSON.
+const maxRequestBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, flowerr.BadInputf("service: bad request body: %v", err))

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,9 @@ func TestServiceRejectsBadSubmissions(t *testing.T) {
 		{"mc_samples past the limit", fmt.Sprintf(`{"kind":"drc","config":{"small":true,"mc_samples":%d}}`, MaxSamples+1), 400},
 		{"fir_samples MaxInt", fmt.Sprintf(`{"kind":"chipwide_power","position":"A","config":{"small":true,"fir_samples":%d,"fir_taps":2}}`, math.MaxInt), 400},
 		{"fir_taps MaxInt", fmt.Sprintf(`{"kind":"chipwide_power","position":"A","config":{"fir_taps":%d}}`, math.MaxInt), 400},
+		{"whatif past MaxQueries", `{"kind":"whatif","strategy":"vertical","position":"B","config":{"small":true},"queries":[` +
+			strings.Repeat(`{"raise":0},`, MaxQueries) + `{"raise":0}]}`, 400},
+		{"body past the limit", `{"kind":"drc","config":{"small":true},"client":"` + strings.Repeat("x", maxRequestBytes) + `"}`, 400},
 		{"garbage", `{nope`, 400},
 	}
 	for _, tc := range cases {

@@ -18,9 +18,9 @@ import (
 	"vipipe/internal/service/wire"
 )
 
-// TestCacheConformance runs the shared Store conformance suite
-// against the service LRU cache — same contract as MemStore,
-// DiskStore and the tiered store.
+// TestCacheConformance runs the shared Store conformance suite over
+// the daemon's cache, the bounded pipeline.MemStore, with a bound
+// nothing in the suite reaches.
 func TestCacheConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) pipeline.Store {
 		return NewCache(1 << 20)

@@ -77,7 +77,6 @@ func TestServiceWhatIf(t *testing.T) {
 // TestServiceWhatIfValidation pins the synchronous rejections of the
 // whatif kind.
 func TestServiceWhatIfValidation(t *testing.T) {
-	e := NewEngine(NewCache(1<<20), nil)
 	bad := []Request{
 		{Kind: "whatif", Strategy: "diagonal", Position: "B",
 			Queries: []WhatIfSpec{{Raise: 0}}, Config: tinySpec},
@@ -88,16 +87,23 @@ func TestServiceWhatIfValidation(t *testing.T) {
 			Queries: []WhatIfSpec{{Raise: -2}}, Config: tinySpec},
 		{Kind: "whatif", Strategy: "vertical", Position: "B",
 			Queries: []WhatIfSpec{{Raise: 0, Overlay: &OverlaySpec{RMM: -1}}}, Config: tinySpec},
+		{Kind: "whatif", Strategy: "vertical", Position: "B",
+			Queries: make([]WhatIfSpec, MaxQueries+1), Config: tinySpec},
 	}
 	for i, req := range bad {
-		if err := e.Validate(req); err == nil {
+		if _, err := resolve(req); err == nil {
 			t.Errorf("request %d validated; want rejection", i)
 		}
 	}
-	ok := Request{Kind: "whatif", Strategy: "vertical", Position: "B",
-		Queries: []WhatIfSpec{{Raise: 2, Shifters: true}}, Config: tinySpec}
-	if err := e.Validate(ok); err != nil {
-		t.Errorf("valid request rejected: %v", err)
+	for _, ok := range []Request{
+		{Kind: "whatif", Strategy: "vertical", Position: "B",
+			Queries: []WhatIfSpec{{Raise: 2, Shifters: true}}, Config: tinySpec},
+		{Kind: "whatif", Strategy: "vertical", Position: "B",
+			Queries: make([]WhatIfSpec, MaxQueries), Config: tinySpec},
+	} {
+		if _, err := resolve(ok); err != nil {
+			t.Errorf("valid request with %d queries rejected: %v", len(ok.Queries), err)
+		}
 	}
 }
 

@@ -117,12 +117,10 @@ func TestCharacterizeCancelledMidRun(t *testing.T) {
 	defer cancel()
 	f.graph = newGraph(f.Cfg, f.Lib, pipeline.NewMemStore(),
 		pipeline.WithWorkers(1),
-		pipeline.WithHooks(pipeline.Hooks{
-			OnCompute: func(id string, _ time.Duration) {
-				if strings.HasPrefix(id, "mc/") {
-					cancel() // first characterization done: stop the rest
-				}
-			},
+		pipeline.WithHook(func(id string, _ any, cached bool, _ time.Duration) {
+			if !cached && strings.HasPrefix(id, "mc/") {
+				cancel() // first characterization done: stop the rest
+			}
 		}))
 	err := f.Characterize(ctx)
 	if err == nil {
