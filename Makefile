@@ -39,11 +39,13 @@ test:
 # The concurrency-heavy engines (Monte Carlo dispatch/cancellation,
 # gate-level simulation, the pipeline graph scheduler, the timing
 # kernels and yield shards that run side by side over one shared
-# kernel structure) and the facade
-# run under the race detector; this is what validates the worker-drain
-# guarantees of mc.Run and the graph's concurrent node scheduling.
+# kernel structure, the forked chip samplers that share one
+# systematic map and the package-level seeding and ziggurat tables)
+# and the facade run under the race detector; this is what validates
+# the worker-drain guarantees of mc.Run and the graph's concurrent
+# node scheduling.
 race:
-	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield
+	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield ./internal/variation
 
 # The fault-injection suite: corrupted SDF/DEF/netlist/placement/region
 # artifacts must yield typed errors, never panics.

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,7 +41,7 @@ type Job struct {
 	mu sync.Mutex
 	// resolved is Req as Submit checked and parsed it, for the worker
 	// to run; it is dropped at any terminal state, since the job table
-	// keeps every job until exit.
+	// keeps finished jobs for their results.
 	resolved *resolved
 	state    JobState
 	err      error
@@ -121,11 +124,17 @@ func (j *Job) Result() (any, error) {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// maxTerminalJobs bounds the finished (done, failed or cancelled)
+// jobs the table keeps, the same bound as the other submit limits:
+// past it the job that finished first is evicted. Queued and running
+// jobs are never evicted.
+const maxTerminalJobs = 4096
+
 // Manager owns the bounded worker pool and the job table. Submissions
 // queue; workers run them through the engine with a per-job
 // context.Context wired into the flow's cancellation plumbing; results
-// stay in the table (completed results survive a drain) until the
-// process exits.
+// stay in the table (completed results survive a drain) until
+// maxTerminalJobs newer jobs have finished.
 type Manager struct {
 	eng     *Engine
 	m       *Metrics
@@ -133,9 +142,12 @@ type Manager struct {
 	rec     *obs.Recorder
 	log     *slog.Logger
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string // IDs in the table, in submission order
+	// retired lists the finished jobs in the table, in the order they
+	// finished; at most maxTerminalJobs.
+	retired  []string
 	nextID   int
 	draining bool
 	queue    chan *Job
@@ -280,7 +292,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 	m.nextID++
 	job := &Job{
-		ID:       fmt.Sprintf("job-%06d", m.nextID),
+		ID:       jobID(m.nextID),
 		Req:      req,
 		resolved: r,
 		state:    JobQueued,
@@ -320,6 +332,9 @@ func (m *Manager) RetryAfterSeconds() int {
 // degraded mode; surfaced on /metrics and every job snapshot.
 func (m *Manager) Degraded() bool { return m.eng.Degraded() }
 
+// jobID names the n-th submitted job.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
 // Get returns a job by ID.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
@@ -328,7 +343,36 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List snapshots every job in submission order.
+// expired reports whether id names a job this manager accepted and
+// has since evicted from its table.
+func (m *Manager) expired(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || id != jobID(n) {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, live := m.jobs[id]
+	return !live && n >= 1 && n <= m.nextID
+}
+
+// retire files a job that just reached a terminal state and evicts
+// the jobs that finished first past maxTerminalJobs.
+func (m *Manager) retire(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.retired = append(m.retired, id)
+	for len(m.retired) > maxTerminalJobs {
+		old := m.retired[0]
+		m.retired = m.retired[1:]
+		delete(m.jobs, old)
+		if i := slices.Index(m.order, old); i >= 0 {
+			m.order = slices.Delete(m.order, i, i+1)
+		}
+	}
+}
+
+// List snapshots every job in the table in submission order.
 func (m *Manager) List() []JobSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -352,13 +396,13 @@ func (m *Manager) Cancel(id string) (JobSnapshot, bool) {
 		return JobSnapshot{}, false
 	}
 	job.mu.Lock()
+	wasQueued := job.state == JobQueued
 	switch job.state {
 	case JobQueued:
 		job.state = JobCancelled
 		job.err = flowerr.Cancelledf("service: job %s cancelled while queued", job.ID)
 		job.resolved = nil
 		job.finished = obs.Now()
-		close(job.done)
 		m.m.JobsCancelled.Add(1)
 		m.log.Info("job cancelled while queued", "job", job.ID, "kind", job.Req.Kind)
 		m.publish(Event{Type: EventCancelled, Job: job.ID, Kind: job.Req.Kind, State: JobCancelled, Error: "cancelled"})
@@ -366,6 +410,10 @@ func (m *Manager) Cancel(id string) (JobSnapshot, bool) {
 		job.cancel() // worker finishes the bookkeeping
 	}
 	job.mu.Unlock()
+	if wasQueued {
+		m.retire(job.ID)
+		close(job.done)
+	}
 	return job.Snapshot(), true
 }
 
@@ -432,8 +480,10 @@ func (m *Manager) worker() {
 		}
 		state, dur := job.state, job.finished.Sub(job.started)
 		m.m.ObserveStep("job."+job.Req.Kind, dur)
-		close(job.done)
 		job.mu.Unlock()
+		// Retire before waking waiters: a job seen done is filed.
+		m.retire(job.ID)
+		close(job.done)
 
 		ev := Event{Job: job.ID, Kind: job.Req.Kind, State: state}
 		switch state {

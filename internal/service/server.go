@@ -18,11 +18,14 @@ import (
 // Endpoints:
 //
 //	POST /jobs             submit a Request           -> 202 + JobSnapshot
-//	GET  /jobs             list jobs                  -> 200 + [JobSnapshot]
+//	GET  /jobs             list the job table         -> 200 + [JobSnapshot]
 //	GET  /jobs/{id}        job status                 -> 200 + JobSnapshot
 //	GET  /jobs/{id}/result fetch a terminal result    -> 200 + wire DTO,
 //	                       or the flowerr-mapped status of the failure
 //	POST /jobs/{id}/cancel request cancellation       -> 200 + JobSnapshot
+//	                       (an ID evicted from the table, which keeps
+//	                       every open job and the newest 4,096
+//	                       finished ones, is 404 on all three)
 //	GET  /metrics          metrics snapshot           -> 200 + Snapshot
 //	GET  /metrics/history  rolling telemetry window   -> 200 + HistoryView
 //	                       (?window=5m; needs WithHistory)
@@ -180,9 +183,20 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	job, ok := s.mgr.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, flowerr.BadInputf("service: no job %q", id))
+		s.noJob(w, id)
 	}
 	return job, ok
+}
+
+// noJob answers 404 for an ID the table does not hold, saying whether
+// the job expired from it or never existed.
+func (s *Server) noJob(w http.ResponseWriter, id string) {
+	if s.mgr.expired(id) {
+		writeError(w, http.StatusNotFound, flowerr.BadInputf(
+			"service: job %q expired from the job table (it keeps the %d most recently finished jobs)", id, maxTerminalJobs))
+		return
+	}
+	writeError(w, http.StatusNotFound, flowerr.BadInputf("service: no job %q", id))
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -208,7 +222,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := s.mgr.Cancel(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, flowerr.BadInputf("service: no job %q", id))
+		s.noJob(w, id)
 		return
 	}
 	snap.Degraded = s.mgr.Degraded()

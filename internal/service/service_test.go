@@ -508,3 +508,77 @@ func TestDrainDeadlineCancelsRunningJobs(t *testing.T) {
 		t.Fatalf("drain stats = %+v; want the deadline-cancelled job counted as aborted", stats)
 	}
 }
+
+// TestJobTableBounded: the job table of a long-running daemon stays
+// bounded. After 4,196 jobs served from a warm engine's cache it holds
+// only the newest maxTerminalJobs finished ones; the first 100 IDs get
+// 404 saying they expired, on status, result and cancel, while an ID
+// that never existed keeps its own message; the newest jobs still
+// serve results, and the counters still count every job.
+func TestJobTableBounded(t *testing.T) {
+	ts, mgr, m := newTestServer(t, 2, 64)
+	const extra = 100
+	req := Request{Kind: "characterize", Position: "A", Config: tinySpec}
+	var ids []string
+	for i := 0; i < maxTerminalJobs+extra; i++ {
+		job, err := mgr.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		<-job.Done()
+		ids = append(ids, job.ID)
+	}
+	if got := m.JobsCompleted.Load(); got != maxTerminalJobs+extra {
+		t.Fatalf("jobs completed = %d; want %d", got, maxTerminalJobs+extra)
+	}
+	list := mgr.List()
+	if len(list) != maxTerminalJobs {
+		t.Fatalf("table holds %d jobs; want %d", len(list), maxTerminalJobs)
+	}
+	if list[0].ID != ids[extra] || list[len(list)-1].ID != ids[len(ids)-1] {
+		t.Fatalf("table spans %s..%s; want %s..%s", list[0].ID, list[len(list)-1].ID, ids[extra], ids[len(ids)-1])
+	}
+
+	get := func(method, path string) (int, errorBody) {
+		t.Helper()
+		r, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&body) // success bodies are not errorBody
+		return resp.StatusCode, body
+	}
+	for i, id := range ids[:extra] {
+		paths := []string{"/jobs/" + id}
+		if i == 0 || i == extra-1 {
+			paths = append(paths, "/jobs/"+id+"/result", "/jobs/"+id+"/cancel")
+		}
+		for _, p := range paths {
+			method := http.MethodGet
+			if strings.HasSuffix(p, "/cancel") {
+				method = http.MethodPost
+			}
+			code, body := get(method, p)
+			if code != http.StatusNotFound || !strings.Contains(body.Error, "expired") {
+				t.Fatalf("%s %s = %d %q; want 404 saying the job expired", method, p, code, body.Error)
+			}
+		}
+	}
+	for _, id := range []string{"job-999999", "job-1", "bogus"} {
+		code, body := get(http.MethodGet, "/jobs/"+id)
+		if code != http.StatusNotFound || !strings.Contains(body.Error, "no job") {
+			t.Fatalf("GET /jobs/%s = %d %q; want 404 no job", id, code, body.Error)
+		}
+	}
+	for _, id := range []string{ids[extra], ids[len(ids)-1]} {
+		if code, body := get(http.MethodGet, "/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Fatalf("result of %s = %d %q; want 200", id, code, body.Error)
+		}
+	}
+}

@@ -3,6 +3,13 @@
 // fitting with a chi-square goodness-of-fit test, histograms, and
 // deterministic seeded random streams.
 //
+// A Stream draws exactly what math/rand draws from the same seed. It
+// runs a copy of math/rand's generator and ziggurat (source.go,
+// tables.go) so that a Monte Carlo chip's normals come from one loop
+// without an interface call per draw, and it seeds that generator in
+// four independent lanes instead of one chain (see source). Outside
+// tests, no other package of the module imports math/rand.
+//
 // The paper fits Monte Carlo critical-path samples to a normal
 // distribution through a chi-square goodness-of-fit test at a 95%
 // confidence level (Section 4.3); this package implements exactly that

@@ -169,10 +169,7 @@ func (m *Model) Position(name string) (Pos, bool) {
 // an independent random draw (paper Eq. 2).
 func (m *Model) SampleChip(pl *place.Placement, pos Pos, rng *stats.Stream) []float64 {
 	lg := m.systematicLgates(pl, pos)
-	sigma := m.RndSigmaNM()
-	for i := range lg {
-		lg[i] += rng.Normal(0, sigma)
-	}
+	rng.AddNormals(lg, lg, m.RndSigmaNM())
 	return lg
 }
 
@@ -231,13 +228,10 @@ func (s *Sampler) Fork() *Sampler {
 // Draw fills lg (one entry per cell) with sample k's gate lengths. It
 // allocates nothing, and its bits equal SampleChip's with the stream
 // DeriveStream(seed, "mc/<pos>/<k>"): the same draws, added to the same
-// systematic values in the same order.
+// systematic values in the same order, in one AddNormals pass.
 func (s *Sampler) Draw(k int, lg []float64) {
 	s.name = strconv.AppendInt(s.name[:s.prefix], int64(k), 10)
-	rng := s.rng.Rederive(s.seed, s.name)
-	for i, sys := range s.sys {
-		lg[i] = sys + rng.Normal(0, s.sigma)
-	}
+	s.rng.Rederive(s.seed, s.name).AddNormals(lg, s.sys, s.sigma)
 }
 
 func clamp01(v float64) float64 {

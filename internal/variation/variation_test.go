@@ -1,8 +1,12 @@
 package variation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"vipipe/internal/cell"
@@ -165,8 +169,10 @@ func TestSampleChipDeterminism(t *testing.T) {
 
 // TestSamplerMatchesSampleChip pins the Monte Carlo draw recipe: sample
 // k of a Sampler (and of its forks, in any order) is bit for bit the
-// chip drawn cell by cell from the stream "mc/<pos>/<k>", which is
-// also what SampleChip draws from that stream.
+// chip drawn cell by cell with math/rand's own NormFloat64 from the
+// source seeded by the FNV-1a hash of (seed, "mc/<pos>/<k>"), which is
+// also what SampleChip draws from the stream DeriveStream(seed,
+// "mc/<pos>/<k>").
 func TestSamplerMatchesSampleChip(t *testing.T) {
 	m := Default()
 	pl := testPlacement(t)
@@ -175,14 +181,22 @@ func TestSamplerMatchesSampleChip(t *testing.T) {
 	s := m.NewSampler(pl, pos, seed)
 	fork := s.Fork()
 	lg := make([]float64, pl.NL.NumCells())
+	sigma := m.RndSigmaNM()
 	for _, k := range []int{0, 1, 7, 123, 65535, 2} {
-		rng := stats.DeriveStream(seed, fmt.Sprintf("mc/%s/%d", pos.Name, k))
+		name := fmt.Sprintf("mc/%s/%d", pos.Name, k)
+		h := fnv.New64a()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], seed)
+		h.Write(b[:])
+		h.Write([]byte(name))
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		want := make([]float64, len(lg))
 		for i := range want {
 			cx, cy := pl.Center(i)
-			want[i] = m.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000) + rng.Normal(0, m.RndSigmaNM())
+			// (0 + …) is Normal(0, sigma)'s sum.
+			want[i] = m.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000) + (0 + sigma*rng.NormFloat64())
 		}
-		chip := m.SampleChip(pl, pos, stats.DeriveStream(seed, fmt.Sprintf("mc/%s/%d", pos.Name, k)))
+		chip := m.SampleChip(pl, pos, stats.DeriveStream(seed, name))
 		for _, smp := range []*Sampler{s, fork} {
 			smp.Draw(k, lg)
 			for i := range want {
@@ -197,26 +211,74 @@ func TestSamplerMatchesSampleChip(t *testing.T) {
 	}
 }
 
-// BenchmarkSamplerDraw is the per-chip cost of Sampler.Draw on the
-// full-size core (32-bit, 4-issue VEX) that the field sweeps sample:
-// one stream derivation plus one normal draw per cell.
-func BenchmarkSamplerDraw(b *testing.B) {
-	core, err := vex.Build(vex.DefaultConfig(), cell.Default65nm())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := place.Global(core.NL, place.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+// TestSamplerForksConcurrently draws disjoint sample ranges through
+// four forks at once, as mc.Run's workers do. The forks share the
+// systematic map and the package-level seeding and ziggurat tables;
+// their columns must equal one serial sampler's. Run under -race by
+// make race.
+func TestSamplerForksConcurrently(t *testing.T) {
 	m := Default()
-	pos, _ := m.Position("B")
-	s := m.NewSampler(pl, pos, 1)
-	lg := make([]float64, pl.NL.NumCells())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		s.Draw(k, lg)
+	pl := testPlacement(t)
+	pos, _ := m.Position("A")
+	const forks, perFork = 4, 16
+	s := m.NewSampler(pl, pos, 5)
+	n := pl.NL.NumCells()
+	want := make([][]float64, forks*perFork)
+	for k := range want {
+		want[k] = make([]float64, n)
+		s.Draw(k, want[k])
+	}
+	got := make([][]float64, len(want))
+	var wg sync.WaitGroup
+	for f := 0; f < forks; f++ {
+		wg.Add(1)
+		go func(f int, fs *Sampler) {
+			defer wg.Done()
+			for k := f * perFork; k < (f+1)*perFork; k++ {
+				got[k] = make([]float64, n)
+				fs.Draw(k, got[k])
+			}
+		}(f, s.Fork())
+	}
+	wg.Wait()
+	for k := range want {
+		for i := range want[k] {
+			if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+				t.Fatalf("sample %d cell %d: fork drew %v, serial %v", k, i, got[k][i], want[k][i])
+			}
+		}
+	}
+}
+
+// BenchmarkSamplerDraw is the per-chip cost of Sampler.Draw: one
+// stream derivation plus one normal draw per cell, on the small core
+// (8-bit, 2-issue; 2,689 cells) that paper_flow, field_edit and
+// daemon_mix sample, and on the full-size core (32-bit, 4-issue;
+// 29,481 cells) that the field sweeps sample.
+func BenchmarkSamplerDraw(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  vex.Config
+	}{{"small", vex.SmallConfig()}, {"full", vex.DefaultConfig()}} {
+		b.Run(c.name, func(b *testing.B) {
+			core, err := vex.Build(c.cfg, cell.Default65nm())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pl, err := place.Global(core.NL, place.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := Default()
+			pos, _ := m.Position("B")
+			s := m.NewSampler(pl, pos, 1)
+			lg := make([]float64, pl.NL.NumCells())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				s.Draw(k, lg)
+			}
+		})
 	}
 }
 
