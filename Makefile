@@ -22,14 +22,15 @@ vet:
 # Project-specific static analysis (cmd/vipilint). `lint` is the
 # pre-commit mode: AST-only (-fast), no type checking, sub-second.
 # It runs without -strict because suppressions of typed-only findings
-# (artifactalias, sharedcapture) look stale to the AST layer.
+# (artifactalias, sharedcapture, deadcode) look stale to the AST layer.
 lint:
 	$(GO) run ./cmd/vipilint -fast .
 
 # Full typed analysis: loads the module under go/types, runs the
-# dataflow rules (artifact ownership, shared-capture races) and the
-# type-resolved versions of the core rules, and rejects stale
-# //lint:ignore directives. This is what CI gates on.
+# dataflow rules (artifact ownership, shared-capture races), the
+# deadcode reachability rule and the type-resolved versions of the
+# core rules, and rejects stale //lint:ignore directives. This is what
+# CI gates on.
 lint-full:
 	$(GO) run ./cmd/vipilint -strict .
 

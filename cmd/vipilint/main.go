@@ -5,8 +5,9 @@
 //	vipilint [flags] [root]
 //
 // root defaults to the current directory. By default the full typed
-// analysis runs: the tree is loaded under go/types and the dataflow
-// rules (artifactalias, sharedcapture) join the upgraded core rules.
+// analysis runs: the tree is loaded under go/types and the typed-only
+// rules (artifactalias, sharedcapture, deadcode) join the upgraded
+// core rules.
 // -fast skips type checking and runs the AST layer only — the
 // pre-commit mode, an order of magnitude cheaper; do not combine it
 // with -strict, because suppressions of typed-only findings look

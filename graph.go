@@ -285,13 +285,6 @@ func newGraph(cfg Config, lib *cell.Library, store pipeline.Store, opts ...pipel
 			}), nil
 		},
 	})
-
-	// The MustAdd discipline above keeps the graph well-formed by
-	// construction; validating here turns any future wiring mistake
-	// into an immediate construction panic instead of a request error.
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
 	return g
 }
 

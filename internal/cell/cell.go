@@ -77,15 +77,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("KIND(%d)", uint8(k))
 }
 
-// Kinds returns all valid cell kinds in the library.
-func Kinds() []Kind {
-	ks := make([]Kind, 0, int(numKinds)-1)
-	for k := Kind(1); k < numKinds; k++ {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
 // Cell is the characterization record of one library cell.
 type Cell struct {
 	Kind       Kind

@@ -38,17 +38,6 @@ func (l *Library) Cell(k Kind) *Cell {
 	return l.cells[k]
 }
 
-// Cells returns all cells in the library.
-func (l *Library) Cells() []*Cell {
-	out := make([]*Cell, 0, int(numKinds)-1)
-	for k := Kind(1); k < numKinds; k++ {
-		if l.cells[k] != nil {
-			out = append(out, l.cells[k])
-		}
-	}
-	return out
-}
-
 // Default65nm returns the synthetic 65nm-class low-power dual-Vdd
 // library used throughout the reproduction. The absolute values are
 // representative of a 65nm LP process (row height 1.8um, FO4 around

@@ -1,7 +1,6 @@
 package cell
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 )
@@ -319,13 +318,6 @@ func powFinish(x, frac, y, logx float64) float64 {
 	return math.Pow(x, y)
 }
 
-// SpeedupHighVdd returns the delay ratio D(VddHigh)/D(VddLow) at
-// nominal gate length: the performance boost bought by switching a
-// cell to the high-Vdd domain.
-func (t *Tech) SpeedupHighVdd() float64 {
-	return t.DelayScale(t.VddHigh, t.LgateNM)
-}
-
 // LeakScale returns the multiplicative subthreshold leakage factor for
 // a device with effective gate length lgateNM relative to nominal, at
 // supply vdd: leakage grows exponentially as Vth drops with channel
@@ -341,23 +333,4 @@ func (t *Tech) LeakScale(vdd, lgateNM float64) float64 {
 func (t *Tech) EnergyScale(d Domain) float64 {
 	r := t.Vdd(d) / t.VddLow
 	return r * r
-}
-
-// Validate checks the parameter set for physical sanity.
-func (t *Tech) Validate() error {
-	switch {
-	case t.VddLow <= 0 || t.VddHigh <= t.VddLow:
-		return fmt.Errorf("cell: supplies must satisfy 0 < VddLow < VddHigh, got %g/%g", t.VddLow, t.VddHigh)
-	case t.Vth0 <= 0 || t.Vth0 >= t.VddLow:
-		return fmt.Errorf("cell: Vth0 %g out of range (0, VddLow)", t.Vth0)
-	case t.Alpha < 1 || t.Alpha > 2:
-		return fmt.Errorf("cell: alpha %g out of velocity-saturation range [1,2]", t.Alpha)
-	case t.LgateNM <= 0:
-		return fmt.Errorf("cell: nominal Lgate %g must be positive", t.LgateNM)
-	case t.SubthermalV <= 0:
-		return fmt.Errorf("cell: subthreshold slope %g must be positive", t.SubthermalV)
-	case t.RowHeightUM <= 0 || t.SiteWidthUM <= 0:
-		return fmt.Errorf("cell: row geometry must be positive")
-	}
-	return nil
 }

@@ -14,7 +14,7 @@ import (
 func fixture(t *testing.T) *place.Placement {
 	t.Helper()
 	b := netlist.NewBuilder("deftest", cell.Default65nm())
-	x := b.Input("x")
+	x := b.NL.AddPI("x")
 	n := x
 	for i := 0; i < 30; i++ {
 		n = b.Not(n)

@@ -15,7 +15,7 @@ import (
 // writerCorpus emits a small DEF via the package's own writer.
 func writerCorpus() string {
 	b := netlist.NewBuilder("fuzzseed", cell.Default65nm())
-	x := b.Input("x")
+	x := b.NL.AddPI("x")
 	n := x
 	for i := 0; i < 12; i++ {
 		n = b.Not(n)

@@ -1,6 +1,7 @@
 package density
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,8 +28,8 @@ func TestXorDensityAddsInputs(t *testing.T) {
 	// XOR's Boolean difference w.r.t. each input is 1, so
 	// D(out) = D(a) + D(b), regardless of probabilities.
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	a := b.Input("a")
-	c := b.Input("c")
+	a := b.NL.AddPI("a")
+	c := b.NL.AddPI("c")
 	x := b.Xor(a, c)
 	prob, dens := seeds(b.NL, map[int][2]float64{
 		a: {0.3, 0.2},
@@ -51,8 +52,8 @@ func TestXorDensityAddsInputs(t *testing.T) {
 func TestAndDensityGatedByProbability(t *testing.T) {
 	// AND: dF/da = b, so D(out) = P(b) D(a) + P(a) D(b).
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	a := b.Input("a")
-	c := b.Input("c")
+	a := b.NL.AddPI("a")
+	c := b.NL.AddPI("c")
 	x := b.And(a, c)
 	prob, dens := seeds(b.NL, map[int][2]float64{
 		a: {0.25, 0.4},
@@ -73,7 +74,7 @@ func TestAndDensityGatedByProbability(t *testing.T) {
 
 func TestConstantInputKillsDensity(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	k := b.Const(false)
 	x := b.And(a, k)
 	y := b.Or(a, k)
@@ -92,7 +93,7 @@ func TestConstantInputKillsDensity(t *testing.T) {
 
 func TestInverterChainPreservesDensity(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	n := a
 	for i := 0; i < 10; i++ {
 		n = b.Not(n)
@@ -155,7 +156,7 @@ func TestDensityUpperBoundsZeroDelaySimOnXorTree(t *testing.T) {
 
 func TestSequentialSeedsPreserved(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	x := b.Not(q)
 	sim, err := gsim.New(b.NL)
@@ -163,7 +164,7 @@ func TestSequentialSeedsPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 50; c++ {
-		sim.SetPI(d, c%2 == 0)
+		sim.SetPIWord(netlist.Word{d}, uint64((c+1)%2))
 		sim.Step()
 	}
 	act := sim.Activity()
@@ -181,7 +182,7 @@ func TestSequentialSeedsPreserved(t *testing.T) {
 
 func TestPropagateValidation(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	b.Input("a")
+	b.NL.AddPI("a")
 	if _, err := Propagate(b.NL, []float64{0.5}, []float64{0.1, 0.2}); err == nil {
 		t.Error("mismatched seeds accepted")
 	}
@@ -206,7 +207,9 @@ func TestGlitchEstimateRaisesMuxTreePower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Run(fir.Cycles)
+	if err := tb.RunContext(context.Background(), fir.Cycles); err != nil {
+		t.Fatal(err)
+	}
 	act := tb.Activity()
 	est, err := GlitchAwareActivity(core.NL, act)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 func tinyDesign(t *testing.T) (*netlist.Netlist, *place.Placement) {
 	t.Helper()
 	b := netlist.NewBuilder("tiny", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	x := b.Not(q)
 	for i := 0; i < 30; i++ {
@@ -72,7 +72,7 @@ func TestDanglingNetDetected(t *testing.T) {
 
 func TestCombLoopDetected(t *testing.T) {
 	b := netlist.NewBuilder("loop", cell.Default65nm())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	ph := b.NL.AddNet("ph")
 	x := b.And(a, ph)
 	y := b.Not(x)

@@ -24,6 +24,8 @@ import (
 // Guard runs fn and converts an escaping panic into an error matching
 // flowerr.ErrWorkerPanic (carrying the stack); otherwise it returns
 // fn's own error.
+//
+//lint:ignore deadcode test support: TestGuardConvertsPanics and the TestCorrupted* cases of make fault
 func Guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -36,6 +38,8 @@ func Guard(fn func() error) (err error) {
 // CorruptText applies 1-4 random text mutations — truncation, byte
 // deletion/duplication/overwrite, paren injection, digit garbling — to
 // a copy of data. With n == 0 bytes the input is returned unchanged.
+//
+//lint:ignore deadcode test support: TestCorruptedSDFNeverPanics and TestCorruptedDEFNeverPanics (make fault)
 func CorruptText(data []byte, rng *stats.Stream) []byte {
 	out := append([]byte(nil), data...)
 	for m := 1 + rng.Intn(4); m > 0 && len(out) > 0; m-- {
@@ -76,6 +80,8 @@ func CorruptText(data []byte, rng *stats.Stream) []byte {
 // slice bounds the netlist type itself can represent (dangling
 // references, inconsistent bookkeeping, wrong arity) — exactly the
 // damage a buggy transformation or a bad import would cause.
+//
+//lint:ignore deadcode test support: TestCorruptedNetlistCaughtByDRC (make fault)
 func CorruptNetlist(nl *netlist.Netlist, rng *stats.Stream) string {
 	if nl.NumCells() == 0 || nl.NumNets() == 0 {
 		return "empty netlist left alone"
@@ -110,6 +116,8 @@ func CorruptNetlist(nl *netlist.Netlist, rng *stats.Stream) string {
 }
 
 // CorruptPlacement damages pl in place and returns a description.
+//
+//lint:ignore deadcode test support: TestCorruptedPlacementCaughtByDRC (make fault)
 func CorruptPlacement(pl *place.Placement, rng *stats.Stream) string {
 	if len(pl.X) == 0 {
 		return "empty placement left alone"
@@ -134,6 +142,8 @@ func CorruptPlacement(pl *place.Placement, rng *stats.Stream) string {
 
 // CorruptRegion damages a partition region vector and returns a
 // description together with the corrupted copy.
+//
+//lint:ignore deadcode test support: TestCorruptedRegionCaughtByDRC (make fault)
 func CorruptRegion(region []int32, rng *stats.Stream) ([]int32, string) {
 	out := append([]int32(nil), region...)
 	if len(out) == 0 {

@@ -21,8 +21,8 @@ const trials = 200
 func buildFixture(t *testing.T) (*netlist.Netlist, *place.Placement) {
 	t.Helper()
 	b := netlist.NewBuilder("fitest", cell.Default65nm())
-	x := b.Input("x")
-	y := b.Input("y")
+	x := b.NL.AddPI("x")
+	y := b.NL.AddPI("y")
 	q := b.DFF(b.Xor(x, y))
 	n := q
 	for i := 0; i < 20; i++ {

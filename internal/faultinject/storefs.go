@@ -34,6 +34,8 @@ type StoreFS struct {
 }
 
 // NewStoreFS wraps inner (the real filesystem when nil).
+//
+//lint:ignore deadcode test support: the pipeline TestDiskStore* fault tests
 func NewStoreFS(inner pipeline.FS) *StoreFS {
 	if inner == nil {
 		inner = pipeline.OSFS()
@@ -42,6 +44,8 @@ func NewStoreFS(inner pipeline.FS) *StoreFS {
 }
 
 // FailReads arms err (EIO when nil) on the next n ReadFile calls.
+//
+//lint:ignore deadcode test support: TestDiskStoreDegradedRecovery
 func (f *StoreFS) FailReads(n int, err error) {
 	if err == nil {
 		err = syscall.EIO
@@ -53,6 +57,8 @@ func (f *StoreFS) FailReads(n int, err error) {
 
 // FailWrites arms err (EIO when nil; use syscall.ENOSPC for a full
 // disk) on the next n WriteFile/Rename calls.
+//
+//lint:ignore deadcode test support: TestDiskStoreENOSPC
 func (f *StoreFS) FailWrites(n int, err error) {
 	if err == nil {
 		err = syscall.EIO
@@ -66,6 +72,8 @@ func (f *StoreFS) FailWrites(n int, err error) {
 // half of their payload and then report success — a torn write a
 // crashed kernel could leave behind, which only the checksum footer
 // can catch.
+//
+//lint:ignore deadcode test support: TestDiskStoreTornWrite
 func (f *StoreFS) TearWrites(n int) {
 	f.mu.Lock()
 	f.tearWrites = n
@@ -73,6 +81,8 @@ func (f *StoreFS) TearWrites(n int) {
 }
 
 // SetDelay imposes d of latency on every operation (slow disk).
+//
+//lint:ignore deadcode test support: TestDiskStoreSlowDisk
 func (f *StoreFS) SetDelay(d time.Duration) { f.delay.Store(int64(d)) }
 
 func (f *StoreFS) sleep() {

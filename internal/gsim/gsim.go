@@ -14,13 +14,11 @@
 package gsim
 
 import (
-	"context"
 	"fmt"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
-	"vipipe/internal/obs"
 )
 
 // Simulator holds the evaluation state of one netlist. New flattens
@@ -97,19 +95,6 @@ func checkPins(nl *netlist.Netlist, id int) error {
 	return nil
 }
 
-// Reset clears all flip-flop state, net values and activity counters.
-func (s *Simulator) Reset() {
-	clear(s.vals)
-	clear(s.state)
-	clear(s.toggles)
-	clear(s.prev)
-	s.cycles = 0
-	s.primed = false
-}
-
-// SetPI drives a primary-input net for the next Step.
-func (s *Simulator) SetPI(net int, v bool) { s.vals[net] = v }
-
 // SetPIWord drives a primary-input bus with the low bits of v.
 func (s *Simulator) SetPIWord(w netlist.Word, v uint64) {
 	for i, n := range w {
@@ -152,7 +137,7 @@ func (s *Simulator) Eval() {
 
 // Step runs one clock cycle: settle combinational logic, record
 // toggles against the previous cycle's values, then clock all
-// flip-flops. Drive primary inputs with SetPI before calling.
+// flip-flops. Drive primary inputs with SetPIWord before calling.
 func (s *Simulator) Step() {
 	s.Eval()
 	vals := s.vals
@@ -183,49 +168,6 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// Run applies each vector (a PI-driving callback) for one cycle.
-func (s *Simulator) Run(cycles int, drive func(cycle int, s *Simulator)) {
-	_ = s.RunContext(context.Background(), cycles, drive)
-}
-
-// ctxCheckEvery is how many cycles pass between context polls during a
-// cancellable run: cheap enough to be invisible, frequent enough that
-// cancellation lands within microseconds on any realistic netlist.
-const ctxCheckEvery = 64
-
-// RunContext is Run with cancellation: the cycle loop polls ctx every
-// ctxCheckEvery cycles and stops with an error matching
-// flowerr.ErrCancelled when it expires. Activity accumulated up to the
-// stopping cycle is retained, so a cancelled simulation still reports
-// the toggles it observed.
-func (s *Simulator) RunContext(ctx context.Context, cycles int, drive func(cycle int, s *Simulator)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, span := obs.Start(ctx, "gsim.run")
-	defer span.End()
-	span.SetAttr("cycles", cycles)
-	span.SetAttr("nets", len(s.vals))
-	for c := 0; c < cycles; c++ {
-		if c%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return flowerr.Cancelledf("gsim: cancelled at cycle %d/%d: %w", c, cycles, err)
-			}
-		}
-		if drive != nil {
-			drive(c, s)
-		}
-		s.Step()
-	}
-	return nil
-}
-
-// Cycles returns the number of Steps executed since the last Reset.
-func (s *Simulator) Cycles() uint64 { return s.cycles }
-
-// Toggles returns the toggle count of a net.
-func (s *Simulator) Toggles(net int) uint64 { return s.toggles[net] }
 
 // Activity returns the per-cycle toggle rate of every net: the
 // switching-activity vector consumed by the power model. Rates are

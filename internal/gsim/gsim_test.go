@@ -15,10 +15,14 @@ func builder() *netlist.Builder {
 	return netlist.NewBuilder("t", cell.Default65nm())
 }
 
+// setPI drives one primary input through SetPIWord, the way
+// vexsim.Testbench drives its buses.
+func setPI(s *Simulator, net int, v bool) { s.SetPIWord(netlist.Word{net}, b2u(v)) }
+
 func TestCombEval(t *testing.T) {
 	b := builder()
-	a := b.Input("a")
-	c := b.Input("c")
+	a := b.NL.AddPI("a")
+	c := b.NL.AddPI("c")
 	x := b.Xor(a, c)
 	s, err := New(b.NL)
 	if err != nil {
@@ -27,8 +31,8 @@ func TestCombEval(t *testing.T) {
 	for _, tc := range []struct{ a, c, want bool }{
 		{false, false, false}, {true, false, true}, {false, true, true}, {true, true, false},
 	} {
-		s.SetPI(a, tc.a)
-		s.SetPI(c, tc.c)
+		setPI(s, a, tc.a)
+		setPI(s, c, tc.c)
 		s.Eval()
 		if s.Val(x) != tc.want {
 			t.Errorf("xor(%v,%v) = %v", tc.a, tc.c, s.Val(x))
@@ -53,7 +57,7 @@ func TestNewRejectsCycle(t *testing.T) {
 func TestDFFPipelineDelay(t *testing.T) {
 	// Two back-to-back flops delay a PI by two cycles.
 	b := builder()
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q1 := b.DFF(d)
 	q2 := b.DFF(q1)
 	s, err := New(b.NL)
@@ -63,7 +67,7 @@ func TestDFFPipelineDelay(t *testing.T) {
 	seq := []bool{true, false, true, true, false}
 	var gotQ2 []bool
 	for _, v := range seq {
-		s.SetPI(d, v)
+		setPI(s, d, v)
 		s.Step()
 		gotQ2 = append(gotQ2, s.Val(q2))
 	}
@@ -78,75 +82,51 @@ func TestDFFPipelineDelay(t *testing.T) {
 
 func TestToggleCounting(t *testing.T) {
 	b := builder()
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	inv := b.Not(q)
 	s, err := New(b.NL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Alternate the input every cycle: d toggles each of the 7
-	// transitions; q and inv follow one cycle later.
+	// Alternate the input every cycle: d toggles on each of the 7
+	// counted cycle boundaries; q and inv lag one cycle and complete 6.
 	for c := 0; c < 8; c++ {
-		s.SetPI(d, c%2 == 1)
+		setPI(s, d, c%2 == 1)
 		s.Step()
 	}
-	if s.Toggles(d) != 7 {
-		t.Errorf("d toggles = %d, want 7", s.Toggles(d))
-	}
-	// q lags d by one cycle, so it only completes 6 transitions in
-	// the 7 counted cycle boundaries.
-	if s.Toggles(q) != 6 || s.Toggles(inv) != 6 {
-		t.Errorf("q/inv toggles = %d/%d, want 6/6", s.Toggles(q), s.Toggles(inv))
-	}
 	act := s.Activity()
-	if act[d] != 1.0 {
+	if act[d] != 1 {
 		t.Errorf("activity of d = %g, want 1", act[d])
+	}
+	if act[q] != 6.0/7 || act[inv] != 6.0/7 {
+		t.Errorf("q/inv activity = %g/%g, want 6/7", act[q], act[inv])
 	}
 }
 
 func TestConstantNetHasZeroActivity(t *testing.T) {
 	b := builder()
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	k := b.Const(true)
 	x := b.And(d, k)
 	s, _ := New(b.NL)
 	for c := 0; c < 10; c++ {
-		s.SetPI(d, c%3 == 0)
+		setPI(s, d, c%3 == 0)
 		s.Step()
 	}
-	if s.Toggles(k) != 0 {
-		t.Errorf("constant net toggled %d times", s.Toggles(k))
+	act := s.Activity()
+	if act[k] != 0 {
+		t.Errorf("constant net activity %g, want 0", act[k])
 	}
-	if s.Toggles(x) == 0 {
+	if act[x] == 0 {
 		t.Error("gated net should toggle")
-	}
-}
-
-func TestResetClearsState(t *testing.T) {
-	b := builder()
-	d := b.Input("d")
-	q := b.DFF(d)
-	s, _ := New(b.NL)
-	s.SetPI(d, true)
-	s.Step()
-	s.Step()
-	if !s.Val(q) {
-		t.Fatal("q should be 1 after two cycles of d=1")
-	}
-	s.Reset()
-	if s.Val(q) || s.Cycles() != 0 || s.Toggles(d) != 0 {
-		t.Error("reset incomplete")
-	}
-	if act := s.Activity(); act[d] != 0 {
-		t.Error("activity after reset should be zero")
 	}
 }
 
 func TestToggleFlopDividesByTwo(t *testing.T) {
 	// Classic toggle flop: q' = !q. Output toggles every cycle.
 	b := builder()
-	ph := b.Input("ph")
+	ph := b.NL.AddPI("ph")
 	q := b.DFF(ph)
 	nq := b.Not(q)
 	dff := b.NL.Nets[q].Driver
@@ -183,27 +163,14 @@ func TestWordHelpers(t *testing.T) {
 	}
 }
 
-func TestRunCallback(t *testing.T) {
-	b := builder()
-	d := b.Input("d")
-	b.DFF(d)
-	s, _ := New(b.NL)
-	n := 0
-	s.Run(5, func(c int, sim *Simulator) {
-		n++
-		sim.SetPI(d, c%2 == 0)
-	})
-	if n != 5 || s.Cycles() != 5 {
-		t.Errorf("run executed %d/%d cycles", n, s.Cycles())
-	}
-}
-
-// combKinds lists every combinational kind of the library.
+// combKinds lists every combinational kind of the library; Inv and
+// LvlShift are the first and last kinds declared.
 func combKinds() []cell.Kind {
 	var ks []cell.Kind
-	for _, c := range cell.Default65nm().Cells() {
-		if !c.Sequential {
-			ks = append(ks, c.Kind)
+	lib := cell.Default65nm()
+	for k := cell.Inv; k <= cell.LvlShift; k++ {
+		if !lib.Cell(k).Sequential {
+			ks = append(ks, k)
 		}
 	}
 	return ks
@@ -218,7 +185,7 @@ func TestEvalMatchesRecursiveEvaluation(t *testing.T) {
 	lib := cell.Default65nm()
 	f := func(ops []uint32, stimulus uint8) bool {
 		b := builder()
-		nets := []int{b.Input("a"), b.Input("b"), b.Input("c")}
+		nets := []int{b.NL.AddPI("a"), b.NL.AddPI("b"), b.NL.AddPI("c")}
 		for i, op := range ops {
 			if i >= 30 {
 				break
@@ -236,7 +203,7 @@ func TestEvalMatchesRecursiveEvaluation(t *testing.T) {
 		}
 		pi := []bool{stimulus&1 == 1, stimulus&2 == 2, stimulus&4 == 4}
 		for i, n := range b.NL.PIs {
-			s.SetPI(n, pi[i])
+			setPI(s, n, pi[i])
 		}
 		s.Eval()
 		// Recursive reference evaluation.
@@ -273,16 +240,16 @@ func TestEvalMatchesRecursiveEvaluation(t *testing.T) {
 // TestStepAllocatesNothing: a clock cycle walks preallocated arrays.
 func TestStepAllocatesNothing(t *testing.T) {
 	b := builder()
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(b.Xor(d, b.Not(d)))
-	b.Mux(d, q, b.Nand(d, q))
+	b.Mux(d, q, b.Gate(cell.Nand2, d, q))
 	s, err := New(b.NL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := 0
 	if n := testing.AllocsPerRun(100, func() {
-		s.SetPI(d, c%3 == 0)
+		setPI(s, d, c%3 == 0)
 		s.Step()
 		c++
 	}); n != 0 {
@@ -295,8 +262,8 @@ func TestStepAllocatesNothing(t *testing.T) {
 // bad input at construction.
 func TestNewRejectsUnflattenableCells(t *testing.T) {
 	b := builder()
-	a := b.Input("a")
-	out := b.Nand(a, a)
+	a := b.NL.AddPI("a")
+	out := b.Gate(cell.Nand2, a, a)
 	inst := b.NL.Nets[out].Driver
 	b.NL.Insts[inst].Inputs = b.NL.Insts[inst].Inputs[:1]
 	if _, err := New(b.NL); !errors.Is(err, flowerr.ErrBadInput) {
@@ -305,7 +272,7 @@ func TestNewRejectsUnflattenableCells(t *testing.T) {
 
 	lib := cell.Default65nm()
 	b = netlist.NewBuilder("t", lib)
-	a = b.Input("a")
+	a = b.NL.AddPI("a")
 	out = b.Gate(cell.Nand4, a, a, a, a)
 	inst = b.NL.Nets[out].Driver
 	b.NL.Insts[inst].Inputs = append(b.NL.Insts[inst].Inputs, a)

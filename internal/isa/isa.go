@@ -76,15 +76,6 @@ func (o Op) ReadsRb() bool {
 	return false
 }
 
-// ReadsRa reports whether the op reads the ra register operand.
-func (o Op) ReadsRa() bool {
-	switch o {
-	case NOP, GOTO:
-		return false
-	}
-	return o < NumOps
-}
-
 // UsesImm16 reports whether the op consumes the 16-bit immediate.
 func (o Op) UsesImm16() bool {
 	switch o {
@@ -99,9 +90,6 @@ func (o Op) UsesImm12() bool { return o == LD || o == ST }
 
 // IsBranch reports whether the op redirects the PC.
 func (o Op) IsBranch() bool { return o == BEQZ || o == BNEZ || o == GOTO }
-
-// IsMem reports whether the op accesses data memory.
-func (o Op) IsMem() bool { return o == LD || o == ST }
 
 // Instr is one decoded operation.
 type Instr struct {

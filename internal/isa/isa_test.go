@@ -18,9 +18,6 @@ func TestPredicates(t *testing.T) {
 	if !ST.ReadsRb() || ADDI.ReadsRb() || LD.ReadsRb() {
 		t.Error("ReadsRb wrong")
 	}
-	if !LD.ReadsRa() || NOP.ReadsRa() || GOTO.ReadsRa() || !BEQZ.ReadsRa() {
-		t.Error("ReadsRa wrong")
-	}
 	if !ADDI.UsesImm16() || ADD.UsesImm16() || !GOTO.UsesImm16() {
 		t.Error("UsesImm16 wrong")
 	}
@@ -29,9 +26,6 @@ func TestPredicates(t *testing.T) {
 	}
 	if !GOTO.IsBranch() || ADD.IsBranch() {
 		t.Error("IsBranch wrong")
-	}
-	if !ST.IsMem() || ADD.IsMem() {
-		t.Error("IsMem wrong")
 	}
 }
 

@@ -25,11 +25,11 @@
 // lightweight interprocedural summaries: which parameters a function
 // writes through, which results alias which parameters. Rules that
 // implement TypedRule upgrade from name-matching heuristics to real
-// type resolution, and two rules exist only in this layer:
+// type resolution, and three rules exist only in this layer:
 // artifactalias (writes through published artifacts, compute
-// functions leaking mutated scratch buffers) and sharedcapture
+// functions leaking mutated scratch buffers), sharedcapture
 // (goroutine closures writing captured state without proof of
-// confinement).
+// confinement) and deadcode (functions no entry point reaches).
 package lint
 
 import (
@@ -87,7 +87,7 @@ type Rule interface {
 // checking when the typed layer is loaded. In typed mode CheckTyped
 // replaces Check for every file whose package type-checked cleanly;
 // files of broken packages fall back to the AST Check. Typed-only
-// rules (artifactalias, sharedcapture) make Check a no-op.
+// rules (artifactalias, sharedcapture, deadcode) make Check a no-op.
 type TypedRule interface {
 	Rule
 	CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc)
@@ -101,9 +101,9 @@ type Options struct {
 	// suppressed nothing.
 	Strict bool
 	// Typed loads the module under go/types and runs the typed layer:
-	// upgraded versions of the core rules plus the dataflow rules
-	// (artifactalias, sharedcapture). Without it the run is AST-only
-	// (-fast), and typed-only rules stay silent — so judge stale
+	// upgraded versions of the core rules plus the typed-only rules
+	// (artifactalias, sharedcapture, deadcode). Without it the run is
+	// AST-only (-fast), and typed-only rules stay silent — so judge stale
 	// suppressions (Strict) only with Typed on.
 	Typed bool
 }

@@ -125,6 +125,31 @@ func TestSharedCaptureCorpus(t *testing.T) {
 	}
 }
 
+// TestDeadcodeCorpus drives the reachability rule over its fixture
+// module. Unreached functions and methods, and a function only a
+// _test.go file calls, are findings; what a main, the root package's
+// API, the paper harness, a goroutine, fmt's String lookup,
+// sort.Interface, a program interface, a method-expression table, a
+// generic instance or a keep-directive reaches is not. A directive on
+// reached code is stale.
+func TestDeadcodeCorpus(t *testing.T) {
+	got := runCorpus(t, "deadcode", Options{Rules: []Rule{deadcodeRule{}}, Typed: true, Strict: true})
+	checkGolden(t, "deadcode", "want.txt", got)
+	for _, name := range []string{"x.Unreached is", "x.TestOnly is", "x.Temp).Unused is", "x.Square).Perimeter is", "x.Box[V]).Put is", "stale //lint:ignore deadcode"} {
+		if !strings.Contains(got, name) {
+			t.Errorf("diagnostics missing %q:\n%s", name, got)
+		}
+	}
+	for _, live := range []string{"FromAPI", "FromHarness", "Spin", "String", "Len", "Less", "Swap", "Area", "double", "Dispatch", "NewBox", "Get", "Kept", "keptHelper", "Entry", "main"} {
+		if strings.Contains(got, "."+live+" is unreached") {
+			t.Errorf("reached function %s reported:\n%s", live, got)
+		}
+	}
+	if fast := runCorpus(t, "deadcode", Options{Rules: []Rule{deadcodeRule{}}}); fast != "" {
+		t.Errorf("deadcode reported in AST-only mode:\n%s", fast)
+	}
+}
+
 // TestSuppressCorpus drives the directive handling end to end: a live
 // trailing suppression hides its finding, an unknown rule and a
 // missing reason are findings themselves (and suppress nothing, so

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -34,6 +35,9 @@ type Program struct {
 	storeIface  *types.Interface // pipeline.Store
 	graphNamed  *types.Named     // pipeline.Graph
 	computeSigs []*types.Signature
+
+	// dead is the deadcode rule's verdict, computed on first use.
+	dead map[*types.Func]bool
 }
 
 // Pkg is one type-checked package of the lint tree.
@@ -45,6 +49,28 @@ type Pkg struct {
 	Info     *types.Info
 	Complete bool  // type-checked without errors; typed rules require it
 	LoadErr  error // first type error when !Complete
+
+	// Harness is the root package's paper harness (harnessFile),
+	// type-checked with the package so the deadcode rule can root its
+	// benchmarks. No rule lints it; nil elsewhere or when absent.
+	Harness *ast.File
+}
+
+// harnessFile is the root package's in-package test file that
+// regenerates the paper's tables and figures. Unlike every other
+// _test.go file it is loaded: what it reaches is not dead code.
+const harnessFile = "bench_test.go"
+
+// asts returns the package's syntax trees, the harness included.
+func (p *Pkg) asts() []*ast.File {
+	out := make([]*ast.File, 0, len(p.Files)+1)
+	for _, f := range p.Files {
+		out = append(out, f.AST)
+	}
+	if p.Harness != nil {
+		out = append(out, p.Harness)
+	}
+	return out
 }
 
 // moduleOf reads the module path out of root/go.mod with a minimal
@@ -127,6 +153,12 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 		}
 		p.Files = append(p.Files, f)
 	}
+	if p := prog.ByDir[""]; p != nil {
+		path := filepath.Join(root, harnessFile)
+		if f, err := parser.ParseFile(fset, path, nil, parser.ParseComments); err == nil {
+			p.Harness = f
+		}
+	}
 
 	// Dependency-order the packages: depth-first over module-internal
 	// imports, visiting dependencies before dependents. An import
@@ -146,8 +178,8 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 		visited[dir] = true
 		p := prog.ByDir[dir]
 		deps := make(map[string]bool)
-		for _, f := range p.Files {
-			for _, imp := range f.AST.Imports {
+		for _, f := range p.asts() {
+			for _, imp := range f.Imports {
 				if d, ok := prog.dirOf(strings.Trim(imp.Path.Value, `"`)); ok && d != dir {
 					if _, exists := prog.ByDir[d]; exists {
 						deps[d] = true
@@ -184,10 +216,6 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 
 // checkPkg type-checks one package against the program importer.
 func checkPkg(p *Pkg, fset *token.FileSet, imp types.Importer) {
-	asts := make([]*ast.File, 0, len(p.Files))
-	for _, f := range p.Files {
-		asts = append(asts, f.AST)
-	}
 	p.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -206,7 +234,7 @@ func checkPkg(p *Pkg, fset *token.FileSet, imp types.Importer) {
 			}
 		},
 	}
-	pkg, err := conf.Check(p.Path, fset, asts, p.Info)
+	pkg, err := conf.Check(p.Path, fset, p.asts(), p.Info)
 	p.Types = pkg
 	if err == nil && firstErr == nil {
 		p.Complete = true

@@ -20,6 +20,7 @@ func DefaultRules() []Rule {
 		fsConfineRule{},
 		artifactAliasRule{},
 		sharedCaptureRule{},
+		deadcodeRule{},
 	}
 }
 

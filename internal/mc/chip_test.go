@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -103,7 +104,10 @@ func BenchmarkChipSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	clock := a.Run(1e9, nil).CritPS * 1.001
-	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 25)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, sta.DefaultRecoveryTargets(), 12, 25)
+	if err != nil {
+		b.Fatal(err)
+	}
 	model := variation.Default()
 	pos, ok := model.Position("A")
 	if !ok {

@@ -40,7 +40,10 @@ func coreFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	clock := a.Run(1e9, nil).CritPS * 1.001
-	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 25)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, sta.DefaultRecoveryTargets(), 12, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := variation.Default()
 	return &fixture{a: a, model: m, derate: derate, clock: clock}
 }
@@ -146,7 +149,7 @@ func TestDepthAveragesOutRandomVariation(t *testing.T) {
 	// delay distribution has a larger coefficient of variation than
 	// a deep chain's.
 	b := netlist.NewBuilder("depths", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	shallow, deep := q, q
 	for i := 0; i < 6; i++ {

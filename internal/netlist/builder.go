@@ -32,12 +32,6 @@ func (b *Builder) Scope(stage Stage, unit string) func() {
 	return func() { b.stage, b.unit = ps, pu }
 }
 
-// Stage returns the current scope's stage tag.
-func (b *Builder) Stage() Stage { return b.stage }
-
-// Unit returns the current scope's unit tag.
-func (b *Builder) Unit() string { return b.unit }
-
 func (b *Builder) autoName(kind cell.Kind) string {
 	b.seq++
 	return fmt.Sprintf("%s/%s_%d", b.unit, kind, b.seq)
@@ -48,9 +42,6 @@ func (b *Builder) autoName(kind cell.Kind) string {
 func (b *Builder) Gate(kind cell.Kind, inputs ...int) int {
 	return b.NL.AddInst(kind, b.autoName(kind), b.stage, b.unit, inputs...)
 }
-
-// Input creates a named primary-input net.
-func (b *Builder) Input(name string) int { return b.NL.AddPI(name) }
 
 // InputWord creates a primary-input bus of the given width.
 func (b *Builder) InputWord(name string, width int) Word {
@@ -76,20 +67,11 @@ func (b *Builder) OutputWord(w Word) {
 // Not returns !a.
 func (b *Builder) Not(a int) int { return b.Gate(cell.Inv, a) }
 
-// Buf returns a buffered copy of a.
-func (b *Builder) Buf(a int) int { return b.Gate(cell.Buf, a) }
-
 // And returns a & c.
 func (b *Builder) And(a, c int) int { return b.Gate(cell.And2, a, c) }
 
 // Or returns a | c.
 func (b *Builder) Or(a, c int) int { return b.Gate(cell.Or2, a, c) }
-
-// Nand returns !(a & c).
-func (b *Builder) Nand(a, c int) int { return b.Gate(cell.Nand2, a, c) }
-
-// Nor returns !(a | c).
-func (b *Builder) Nor(a, c int) int { return b.Gate(cell.Nor2, a, c) }
 
 // Xor returns a ^ c.
 func (b *Builder) Xor(a, c int) int { return b.Gate(cell.Xor2, a, c) }
@@ -109,15 +91,6 @@ func (b *Builder) Const(v bool) int {
 		return b.Gate(cell.TieHi)
 	}
 	return b.Gate(cell.TieLo)
-}
-
-// ConstWord returns a bus holding the low width bits of v.
-func (b *Builder) ConstWord(v uint64, width int) Word {
-	w := make(Word, width)
-	for i := range w {
-		w[i] = b.Const(v>>uint(i)&1 == 1)
-	}
-	return w
 }
 
 // AndTree reduces the inputs with a balanced tree of AND gates,
@@ -172,15 +145,6 @@ func (b *Builder) DFFWord(d Word) Word {
 		q[i] = b.DFF(d[i])
 	}
 	return q
-}
-
-// NotWord inverts every bit of a bus.
-func (b *Builder) NotWord(a Word) Word {
-	out := make(Word, len(a))
-	for i := range out {
-		out[i] = b.Not(a[i])
-	}
-	return out
 }
 
 // AndWord computes the bitwise AND of two buses.

@@ -105,7 +105,7 @@ func TestLevelizeCutsAtFlops(t *testing.T) {
 	// inv -> DFF -> inv is not a combinational cycle even when fed
 	// back.
 	b := NewBuilder("t", lib())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	x := b.Not(a)
 	q := b.DFF(x)
 	y := b.Not(q)
@@ -128,7 +128,7 @@ func TestSequentialsAndFeedbackLoop(t *testing.T) {
 	b := NewBuilder("t", lib())
 	// Create the DFF with a placeholder input, then rewire it to
 	// close the loop.
-	ph := b.Input("ph")
+	ph := b.NL.AddPI("ph")
 	q := b.DFF(ph)
 	nq := b.Not(q)
 	dff := b.NL.Nets[q].Driver
@@ -146,7 +146,7 @@ func TestSequentialsAndFeedbackLoop(t *testing.T) {
 func TestBuilderScope(t *testing.T) {
 	b := NewBuilder("t", lib())
 	restore := b.Scope(StageExecute, "execute/alu")
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	b.Not(a)
 	restore()
 	b.Not(a)
@@ -162,7 +162,7 @@ func TestBuilderWords(t *testing.T) {
 	b := NewBuilder("t", lib())
 	x := b.InputWord("x", 4)
 	y := b.InputWord("y", 4)
-	sel := b.Input("sel")
+	sel := b.NL.AddPI("sel")
 	m := b.MuxWord(x, y, sel)
 	if len(m) != 4 {
 		t.Fatal("mux width")
@@ -183,7 +183,10 @@ func TestBuilderWords(t *testing.T) {
 
 func TestBuilderConstWord(t *testing.T) {
 	b := NewBuilder("t", lib())
-	w := b.ConstWord(0b1010, 4)
+	var w Word
+	for i := 0; i < 4; i++ {
+		w = append(w, b.Const(0b1010>>i&1 == 1))
+	}
 	kinds := []cell.Kind{cell.TieLo, cell.TieHi, cell.TieLo, cell.TieHi}
 	for i, n := range w {
 		if b.NL.Insts[b.NL.Nets[n].Driver].Kind != kinds[i] {
@@ -197,7 +200,7 @@ func TestTreeReduction(t *testing.T) {
 		b := NewBuilder("t", lib())
 		in := make([]int, width)
 		for i := range in {
-			in[i] = b.Input("i")
+			in[i] = b.NL.AddPI("i")
 		}
 		out := b.AndTree(in)
 		if out < 0 {
@@ -243,7 +246,7 @@ func TestWordOpsPanicOnMismatch(t *testing.T) {
 
 func TestStatsGroupsByTopUnit(t *testing.T) {
 	b := NewBuilder("t", lib())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	r1 := b.Scope(StageExecute, "execute/slot0/alu")
 	b.Not(a)
 	b.Not(a)
@@ -281,7 +284,7 @@ func TestTopUnit(t *testing.T) {
 func TestRandomDAGProperty(t *testing.T) {
 	f := func(seedBytes []byte) bool {
 		b := NewBuilder("t", lib())
-		nets := []int{b.Input("a"), b.Input("b")}
+		nets := []int{b.NL.AddPI("a"), b.NL.AddPI("b")}
 		for i, sb := range seedBytes {
 			if i > 40 {
 				break

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // SpanData is the serialized form of one finished span. Timestamps
@@ -124,50 +123,4 @@ func ParseChrome(r io.Reader) (*ChromeFile, error) {
 		return nil, fmt.Errorf("obs: parse chrome trace: %w", err)
 	}
 	return &f, nil
-}
-
-// WriteTree renders the trace as an indented text tree for terminals:
-// each span with its duration and attributes, children nested under
-// parents in start order.
-func (t *Trace) WriteTree(w io.Writer) error {
-	present := make(map[int64]bool, len(t.Spans))
-	for _, s := range t.Spans {
-		present[s.ID] = true
-	}
-	children := make(map[int64][]int)
-	for i, s := range t.Spans {
-		parent := s.Parent
-		if !present[parent] {
-			parent = 0 // orphans (parent never ended) print as roots
-		}
-		children[parent] = append(children[parent], i)
-	}
-	if _, err := fmt.Fprintf(w, "trace %s (%s) — %.3fms, %d spans\n",
-		t.ID, t.Name, float64(t.DurUS())/1000, len(t.Spans)); err != nil {
-		return err
-	}
-	var walk func(parent int64, prefix string) error
-	walk = func(parent int64, prefix string) error {
-		kids := children[parent]
-		for i, idx := range kids {
-			s := t.Spans[idx]
-			branch, cont := "├─ ", "│  "
-			if i == len(kids)-1 {
-				branch, cont = "└─ ", "   "
-			}
-			var attrs strings.Builder
-			for _, a := range s.Attrs {
-				fmt.Fprintf(&attrs, " %s=%s", a.Key, a.Value)
-			}
-			if _, err := fmt.Fprintf(w, "%s%s%s %.3fms%s\n",
-				prefix, branch, s.Name, float64(s.DurUS)/1000, attrs.String()); err != nil {
-				return err
-			}
-			if err := walk(s.ID, prefix+cont); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(0, "")
 }

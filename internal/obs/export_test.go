@@ -98,39 +98,3 @@ func TestChromeRoundTrip(t *testing.T) {
 		t.Error("ParseChrome accepted malformed JSON")
 	}
 }
-
-func TestWriteTree(t *testing.T) {
-	trace := &Trace{
-		ID: "job-000001", Name: "sweep",
-		Spans: []SpanData{
-			{ID: 1, Name: "synth", StartUS: 0, DurUS: 2000},
-			{ID: 2, Parent: 1, Name: "place", StartUS: 100, DurUS: 1000, Attrs: []Attr{{Key: "cache", Value: "hit"}}},
-			{ID: 3, Name: "mc/A", StartUS: 2500, DurUS: 500},
-		},
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteTree(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const want = `trace job-000001 (sweep) — 3.000ms, 3 spans
-├─ synth 2.000ms
-│  └─ place 1.000ms cache=hit
-└─ mc/A 0.500ms
-`
-	if got := buf.String(); got != want {
-		t.Errorf("tree mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-func TestWriteTreeOrphanPrintsAsRoot(t *testing.T) {
-	trace := &Trace{ID: "x", Name: "x", Spans: []SpanData{
-		{ID: 5, Parent: 99, Name: "orphan", StartUS: 0, DurUS: 10},
-	}}
-	var buf bytes.Buffer
-	if err := trace.WriteTree(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "orphan") {
-		t.Errorf("orphan span missing from tree:\n%s", buf.String())
-	}
-}

@@ -1,16 +1,14 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Hub is a broadcast fan-out for live telemetry: one publisher side,
 // any number of subscribers, drop-and-count semantics. The subscriber
 // set is owned by a single dispatch goroutine and every delivery is a
 // non-blocking send into the subscriber's bounded buffer, so a stuck
 // consumer (an SSE client that stopped reading) loses its own events
-// — counted in Dropped — and can never backpressure the publisher.
+// — each loss fires the onDrop callback — and can never backpressure
+// the publisher.
 //
 // The dispatch goroutine is channel-confined: it writes nothing it
 // captured, it only receives commands and forwards values over the
@@ -23,10 +21,8 @@ type Hub[T any] struct {
 	done   chan struct{}
 	closer sync.Once
 
-	subBuf    int
-	published atomic.Int64
-	dropped   atomic.Int64
-	onDrop    func()
+	subBuf int
+	onDrop func()
 }
 
 // NewHub starts a hub whose subscriber channels buffer subBuf values
@@ -51,7 +47,6 @@ func NewHub[T any](subBuf int, onDrop func()) *Hub[T] {
 				select {
 				case ch <- v:
 				default:
-					h.dropped.Add(1)
 					if h.onDrop != nil {
 						h.onDrop()
 					}
@@ -105,7 +100,6 @@ func (h *Hub[T]) Publish(v T) bool {
 	}
 	select {
 	case h.pub <- v:
-		h.published.Add(1)
 		return true
 	case <-h.done:
 		return false
@@ -154,21 +148,4 @@ func (h *Hub[T]) Close() {
 		return
 	}
 	h.closer.Do(func() { close(h.done) })
-}
-
-// Published returns how many values were accepted for broadcast.
-func (h *Hub[T]) Published() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.published.Load()
-}
-
-// Dropped returns how many per-subscriber deliveries were discarded
-// because the subscriber's buffer was full.
-func (h *Hub[T]) Dropped() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.dropped.Load()
 }

@@ -142,12 +142,6 @@ func Current(ctx context.Context) *Span {
 	return s
 }
 
-// Enabled reports whether a tracer rides the context.
-func Enabled(ctx context.Context) bool {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s != nil && s.tr != nil
-}
-
 // Start opens a span named name under the context's current span and
 // returns a context carrying the new span (so nested Starts build the
 // parent chain). Without a tracer on the context it returns ctx

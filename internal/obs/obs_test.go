@@ -39,17 +39,11 @@ func TestStartWithoutTracerIsNoop(t *testing.T) {
 	span.SetAttr("k", "v")
 	span.Lap("lap_us")
 	span.End()
-	if Enabled(ctx) {
-		t.Fatal("Enabled reported a tracer on a bare context")
-	}
 }
 
 func TestSpanNesting(t *testing.T) {
 	tr := NewTracerWithClock("t1", "test", stepClock())
 	ctx := WithTracer(context.Background(), tr)
-	if !Enabled(ctx) {
-		t.Fatal("Enabled = false with a tracer installed")
-	}
 	ctx, root := Start(ctx, "root")
 	ctx2, child := Start(ctx, "child")
 	_, grand := Start(ctx2, "grand")

@@ -91,8 +91,7 @@ func attrValue(attrs []Attr, key string) string {
 }
 
 // Profile analyzes a finished trace. It never mutates the trace and
-// tolerates orphan spans (parent never ended): they profile as roots,
-// like WriteTree renders them.
+// tolerates orphan spans (parent never ended): they profile as roots.
 func Profile(t *Trace) *RunProfile {
 	p := &RunProfile{TraceID: t.ID, TraceName: t.Name, WallUS: t.DurUS()}
 	if len(t.Spans) == 0 {
@@ -237,14 +236,6 @@ func costNodes(spans []SpanProfile, selfTotal int64) []NodeCost {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-// Dominant returns the top cost center (nil for an empty profile).
-func (p *RunProfile) Dominant() *NodeCost {
-	if len(p.Nodes) == 0 {
-		return nil
-	}
-	return &p.Nodes[0]
 }
 
 // CostTable is the cross-run aggregation of NodeCost rows: the same

@@ -53,8 +53,8 @@ func TestProfileDemoTrace(t *testing.T) {
 	if p.CriticalPath[1].Cache != "hit" || p.CriticalPath[1].Tier != "disk" {
 		t.Errorf("critical path attrs = %+v", p.CriticalPath[1])
 	}
-	if dom := p.Dominant(); dom == nil || dom.Kind != "job.demo" || dom.SelfUS != 3000 {
-		t.Errorf("Dominant = %+v", dom)
+	if len(p.Nodes) == 0 || p.Nodes[0].Kind != "job.demo" || p.Nodes[0].SelfUS != 3000 {
+		t.Errorf("top cost center = %+v", p.Nodes)
 	}
 	var mc NodeCost
 	for _, nc := range p.Nodes {
@@ -126,7 +126,7 @@ func TestProfileOrphanSpans(t *testing.T) {
 
 func TestProfileEmptyTrace(t *testing.T) {
 	p := Profile(&Trace{ID: "e", Name: "empty"})
-	if p.WallUS != 0 || len(p.Spans) != 0 || len(p.CriticalPath) != 0 || p.Dominant() != nil {
+	if p.WallUS != 0 || len(p.Spans) != 0 || len(p.CriticalPath) != 0 || len(p.Nodes) != 0 {
 		t.Errorf("empty profile = %+v", p)
 	}
 	var buf strings.Builder

@@ -95,9 +95,13 @@ type DiskStore struct {
 type DiskOption func(*DiskStore)
 
 // WithFS substitutes the filesystem (fault-injection tests).
+//
+//lint:ignore deadcode seam faultinject.StoreFS plugs into for the TestDiskStore* fault tests
 func WithFS(fs FS) DiskOption { return func(s *DiskStore) { s.fs = fs } }
 
 // WithIOTimeout bounds each IO attempt; d <= 0 keeps the default (2s).
+//
+//lint:ignore deadcode TestDiskStoreSlowDisk needs a 10ms timeout; production keeps the 2s default
 func WithIOTimeout(d time.Duration) DiskOption {
 	return func(s *DiskStore) {
 		if d > 0 {
@@ -110,6 +114,8 @@ func WithIOTimeout(d time.Duration) DiskOption {
 // after the first) and the initial backoff between attempts, which
 // doubles per retry. n < 0 keeps the default (2); backoff <= 0 keeps
 // the default (5ms).
+//
+//lint:ignore deadcode the TestDiskStore* fault tests run without retries; production keeps the default
 func WithRetries(n int, backoff time.Duration) DiskOption {
 	return func(s *DiskStore) {
 		if n >= 0 {
@@ -124,6 +130,8 @@ func WithRetries(n int, backoff time.Duration) DiskOption {
 // WithFailThreshold sets how many consecutive IO failures flip the
 // store into degraded mode (default 4), and how many short-circuited
 // operations pass between recovery probes while degraded (default 32).
+//
+//lint:ignore deadcode TestDiskStoreDegradedRecovery degrades after 2 failures and probes every 3; production keeps the defaults
 func WithFailThreshold(fails, probeEvery int) DiskOption {
 	return func(s *DiskStore) {
 		if fails > 0 {

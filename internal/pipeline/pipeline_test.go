@@ -51,6 +51,9 @@ func TestGraphResolvesDependencyClosure(t *testing.T) {
 
 func TestGraphAddValidation(t *testing.T) {
 	g := New("t", NewMemStore())
+	if err := g.Add(constNode("")); !errors.Is(err, flowerr.ErrBadInput) {
+		t.Errorf("empty ID: %v", err)
+	}
 	if err := g.Add(Node{ID: "x"}); !errors.Is(err, flowerr.ErrBadInput) {
 		t.Errorf("nil compute: %v", err)
 	}
@@ -61,9 +64,56 @@ func TestGraphAddValidation(t *testing.T) {
 	if err := g.Add(constNode("b", "missing")); !errors.Is(err, flowerr.ErrBadInput) {
 		t.Errorf("unknown dep: %v", err)
 	}
+	if err := g.Add(constNode("c", "c")); !errors.Is(err, flowerr.ErrBadInput) {
+		t.Errorf("self dependency: %v", err)
+	}
 	if _, err := g.Request(context.Background(), "nope"); !errors.Is(err, flowerr.ErrBadInput) {
 		t.Errorf("unknown request: %v", err)
 	}
+}
+
+// The TestValidate* tests below pin each malformed shape that Add
+// rejects: the error matches flowerr.ErrBadInput, names the fault, and
+// leaves the graph without the node.
+
+func wantRejected(t *testing.T, g *Graph, n Node, frag string) {
+	t.Helper()
+	err := g.Add(n)
+	if err == nil {
+		t.Fatalf("Add(%q) = nil, want error containing %q", n.ID, frag)
+	}
+	if !errors.Is(err, flowerr.ErrBadInput) {
+		t.Errorf("Add(%q) error %v does not match flowerr.ErrBadInput", n.ID, err)
+	}
+	if !contains(err.Error(), frag) {
+		t.Errorf("Add(%q) = %q, want substring %q", n.ID, err, frag)
+	}
+	if _, ok := g.nodes[n.ID]; ok {
+		t.Errorf("Add(%q) failed but stored the node", n.ID)
+	}
+}
+
+func TestValidateEmptyKey(t *testing.T) {
+	g := New("t", NewMemStore())
+	wantRejected(t, g, constNode(""), "empty ID")
+}
+
+func TestValidateNilCompute(t *testing.T) {
+	g := New("t", NewMemStore())
+	wantRejected(t, g, Node{ID: "z"}, `node "z" has no compute`)
+}
+
+func TestValidateUndefinedDep(t *testing.T) {
+	g := New("t", NewMemStore())
+	g.MustAdd(constNode("a"))
+	wantRejected(t, g, constNode("d", "a", "ghost"), `depends on unknown node "ghost"`)
+}
+
+// A node may depend only on nodes already added, so no cycle can be
+// built, not even a self-loop.
+func TestValidateSelfCycle(t *testing.T) {
+	g := New("t", NewMemStore())
+	wantRejected(t, g, constNode("c", "c"), `depends on unknown node "c"`)
 }
 
 // TestGraphRunsReadyNodesConcurrently proves the scheduler overlaps
@@ -108,8 +158,10 @@ func TestGraphRunsReadyNodesConcurrently(t *testing.T) {
 func TestGraphWorkerBound(t *testing.T) {
 	g := New("t", NewMemStore(), WithWorkers(1))
 	var inFlight, maxInFlight atomic.Int64
+	var ids []string
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("n%d", i)
+		ids = append(ids, id)
 		g.MustAdd(Node{
 			ID: id,
 			Compute: func(context.Context, map[string]any) (any, error) {
@@ -126,7 +178,7 @@ func TestGraphWorkerBound(t *testing.T) {
 			},
 		})
 	}
-	if _, err := g.Request(context.Background(), g.Nodes()...); err != nil {
+	if _, err := g.Request(context.Background(), ids...); err != nil {
 		t.Fatal(err)
 	}
 	if got := maxInFlight.Load(); got != 1 {

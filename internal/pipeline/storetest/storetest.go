@@ -54,12 +54,16 @@ func (codec) Decode(data []byte) (any, error) {
 // Codecs returns a pipeline.Codecs serving the suite's Value codec
 // for every node, so Tiered stores over a DiskStore can join the
 // suite.
+//
+//lint:ignore deadcode test support: the TestDiskStore* tests, TestTieredStoreConformance, TestTieredRestartWarm and BenchmarkStoreDo
 func Codecs() pipeline.Codecs {
 	return func(string) pipeline.Codec { return codec{} }
 }
 
 // Run exercises the Store contract against fresh stores built by mk.
 // Each subtest gets its own store; mk may register cleanup on t.
+//
+//lint:ignore deadcode test support: TestMemStoreConformance, TestTieredStoreConformance and service's TestCacheConformance
 func Run(t *testing.T, mk func(t *testing.T) pipeline.Store) {
 	t.Run("compute_once", func(t *testing.T) { computeOnce(t, mk(t)) })
 	t.Run("failed_compute_not_cached", func(t *testing.T) { failedCompute(t, mk(t)) })

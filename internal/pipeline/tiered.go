@@ -25,9 +25,6 @@ func NewTiered(mem Store, disk *DiskStore) *Tiered {
 	return &Tiered{mem: mem, disk: disk}
 }
 
-// Disk exposes the disk tier for stats/degraded reporting.
-func (t *Tiered) Disk() *DiskStore { return t.disk }
-
 // Do implements Store. The front tier runs its singleflight; inside
 // the elected compute, Do first consults the disk tier and only falls
 // back to the real compute on a disk miss, persisting the fresh

@@ -16,7 +16,7 @@ import (
 func chainNetlist(k, m int) *netlist.Netlist {
 	b := netlist.NewBuilder("chains", cell.Default65nm())
 	for c := 0; c < k; c++ {
-		n := b.Input("in")
+		n := b.NL.AddPI("in")
 		for i := 0; i < m; i++ {
 			n = b.Not(n)
 		}
@@ -109,7 +109,7 @@ func TestBadOptionsRejected(t *testing.T) {
 
 func TestNetHPWLGeometry(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	a := b.Input("a")
+	a := b.NL.AddPI("a")
 	x := b.Not(a)
 	y := b.Not(x)
 	_ = y

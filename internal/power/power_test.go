@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func toggleFixture(t *testing.T) (*netlist.Netlist, []float64) {
 	t.Helper()
 	b := netlist.NewBuilder("p", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	inv := b.Not(q)
 	_ = inv
@@ -24,7 +25,7 @@ func toggleFixture(t *testing.T) (*netlist.Netlist, []float64) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 33; c++ {
-		s.SetPI(d, c%2 == 1)
+		s.SetPIWord(netlist.Word{d}, uint64(c%2))
 		s.Step()
 	}
 	return b.NL, s.Activity()
@@ -126,7 +127,7 @@ func TestLeakageLgateScaling(t *testing.T) {
 
 func TestShifterAccounting(t *testing.T) {
 	b := netlist.NewBuilder("ls", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	ls := b.NL.AddInst(cell.LvlShift, "ls0", netlist.StageNone, "ls", q)
 	b.Output(ls)
@@ -135,7 +136,7 @@ func TestShifterAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 17; c++ {
-		s.SetPI(d, c%2 == 0)
+		s.SetPIWord(netlist.Word{d}, uint64((c+1)%2))
 		s.Step()
 	}
 	rep, err := Analyze(Inputs{NL: b.NL, Activity: s.Activity(), FreqMHz: 100})
@@ -163,7 +164,9 @@ func TestVexFIRPowerBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Run(fir.Cycles)
+	if err := tb.RunContext(context.Background(), fir.Cycles); err != nil {
+		t.Fatal(err)
+	}
 	pl, err := place.Global(core.NL, place.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

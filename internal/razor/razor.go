@@ -10,7 +10,6 @@
 package razor
 
 import (
-	"fmt"
 	"sort"
 
 	"vipipe/internal/cell"
@@ -60,25 +59,6 @@ func NewPlan(nl *netlist.Netlist, res *mc.Result, budget int) *Plan {
 // NumSensors returns the total sensor count.
 func (p *Plan) NumSensors() int { return len(p.Sensors) }
 
-// Apply converts the planned flip-flops to Razor flip-flops in the
-// netlist, returning the number converted. The caller must Refresh any
-// timing analyzer afterwards (Razor flops have slightly different
-// timing and cost more area and power).
-func (p *Plan) Apply(nl *netlist.Netlist) (int, error) {
-	converted := 0
-	for _, inst := range p.Sensors {
-		if inst < 0 || inst >= nl.NumCells() {
-			return converted, fmt.Errorf("razor: sensor instance %d out of range", inst)
-		}
-		if nl.Insts[inst].Kind != cell.DFF {
-			return converted, fmt.Errorf("razor: instance %d (%s) is not a plain DFF", inst, nl.Insts[inst].Name)
-		}
-		nl.Insts[inst].Kind = cell.RazorFF
-		converted++
-	}
-	return converted, nil
-}
-
 // AreaOverheadUM2 returns the extra area of the plan: the per-sensor
 // difference between a Razor flop and the plain flop it replaces.
 func (p *Plan) AreaOverheadUM2(lib *cell.Library) float64 {
@@ -109,8 +89,8 @@ func Detect(a *sta.Analyzer, plan *Plan, clockPS float64, scale []float64) Detec
 // falls inside (clock, clock+windowPS] — a transition later than the
 // window escapes the shadow latch too and is missed. The paper tunes
 // this delay from the Monte Carlo range ("the value of such delays
-// could be tuned based on the results of the Monte Carlo analysis");
-// WindowFromMC computes that tuning. windowPS <= 0 means unbounded.
+// could be tuned based on the results of the Monte Carlo analysis").
+// windowPS <= 0 means unbounded.
 func DetectWindow(a *sta.Analyzer, plan *Plan, clockPS, windowPS float64, scale []float64) Detection {
 	sensed := make(map[int]bool, len(plan.Sensors))
 	for _, s := range plan.Sensors {
@@ -134,21 +114,6 @@ func DetectWindow(a *sta.Analyzer, plan *Plan, clockPS, windowPS float64, scale 
 	}
 	det.Scenario = len(det.Flagged)
 	return det
-}
-
-// WindowFromMC tunes the shadow-latch delay from the worst-case Monte
-// Carlo characterization: the largest observed violation plus margin,
-// so no plausible chip's late transition escapes the window.
-func WindowFromMC(res *mc.Result, marginFrac float64) float64 {
-	worst := 0.0
-	for _, st := range mc.PipelineStages {
-		if d := res.PerStage[st]; d != nil {
-			if v := -(d.Fit.Mu - 3*d.Fit.Sigma); v > worst {
-				worst = v
-			}
-		}
-	}
-	return worst * (1 + marginFrac)
 }
 
 // GroundTruth computes the true violating-stage set of a chip sample

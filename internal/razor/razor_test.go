@@ -39,7 +39,10 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	clock := a.Run(1e9, nil).CritPS * 1.001
-	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 25)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, sta.DefaultRecoveryTargets(), 12, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	model := variation.Default()
 	resA, err := mc.Run(context.Background(), a, &model, model.DiagonalPositions()[0], mc.Options{
 		Samples: 200, Seed: 4, ClockPS: clock, Derate: derate,
@@ -79,37 +82,6 @@ func TestPlanAreaOverhead(t *testing.T) {
 	total := f.core.NL.Stats().AreaUM2
 	if over > total*0.10 {
 		t.Errorf("sensor area overhead %.0f is %.1f%% of design — too costly", over, 100*over/total)
-	}
-}
-
-func TestApplyConvertsAndRefreshWorks(t *testing.T) {
-	f := newFixture(t)
-	p := NewPlan(f.core.NL, f.resA, DefaultBudget)
-	n, err := p.Apply(f.core.NL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != p.NumSensors() {
-		t.Errorf("converted %d of %d", n, p.NumSensors())
-	}
-	razors := 0
-	for i := range f.core.NL.Insts {
-		if f.core.NL.Insts[i].Kind == cell.RazorFF {
-			razors++
-		}
-	}
-	if razors != n {
-		t.Errorf("netlist has %d razor flops, want %d", razors, n)
-	}
-	if err := f.core.NL.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.a.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-applying fails (flops are no longer plain DFFs).
-	if _, err := p.Apply(f.core.NL); err == nil {
-		t.Error("double apply accepted")
 	}
 }
 
@@ -169,26 +141,6 @@ func TestDetectionScenarioOrdering(t *testing.T) {
 	}
 }
 
-func TestApplyRejectsBadInstance(t *testing.T) {
-	f := newFixture(t)
-	bad := &Plan{Sensors: []int{1 << 30}}
-	if _, err := bad.Apply(f.core.NL); err == nil {
-		t.Error("out-of-range instance accepted")
-	}
-	// A combinational cell cannot be sensored.
-	comb := -1
-	for i := range f.core.NL.Insts {
-		if !f.core.NL.IsSequential(i) {
-			comb = i
-			break
-		}
-	}
-	bad2 := &Plan{Sensors: []int{comb}}
-	if _, err := bad2.Apply(f.core.NL); err == nil {
-		t.Error("combinational instance accepted")
-	}
-}
-
 func TestDetectionEqual(t *testing.T) {
 	a := Detection{Scenario: 1, Flagged: map[netlist.Stage]bool{netlist.StageExecute: true}}
 	b := Detection{Scenario: 1, Flagged: map[netlist.Stage]bool{netlist.StageExecute: true}}
@@ -203,22 +155,19 @@ func TestDetectWindow(t *testing.T) {
 	f := newFixture(t)
 	plan := NewPlan(f.core.NL, f.resA, DefaultBudget)
 	tech := &f.core.NL.Lib.Tech
-	// A chip at point A violates by ~10% of the clock; a tuned
-	// window catches it, a tiny window misses everything.
+	// A chip at point A violates by ~10% of the clock; a window of one
+	// clock period catches it, a tiny window misses everything.
 	rng := stats.DeriveStream(55, "window-chip")
 	lg := f.model.SampleChip(f.pl, f.model.DiagonalPositions()[0], rng)
 	scale := make([]float64, f.core.NL.NumCells())
 	for i := range scale {
 		scale[i] = tech.DelayScale(tech.VddLow, lg[i]) * f.derate[i]
 	}
-	window := WindowFromMC(f.resA, 0.2)
-	if window <= 0 {
-		t.Fatal("tuned window not positive")
-	}
+	window := f.clock
 	tuned := DetectWindow(f.a, plan, f.clock, window, scale)
 	unbounded := Detect(f.a, plan, f.clock, scale)
 	if !tuned.Equal(unbounded) {
-		t.Errorf("tuned window (%.0f ps) misses violations the unbounded one sees: %v vs %v",
+		t.Errorf("window (%.0f ps) misses violations the unbounded one sees: %v vs %v",
 			window, tuned.Flagged, unbounded.Flagged)
 	}
 	tiny := DetectWindow(f.a, plan, f.clock, 1, scale)

@@ -95,20 +95,6 @@ func Incrementer(b *netlist.Builder, x netlist.Word) (sum netlist.Word, cout int
 	return sum, c
 }
 
-// IncrementerBy emits x + k for a constant k by chaining full adders
-// against tie cells only where k has set bits.
-func IncrementerBy(b *netlist.Builder, x netlist.Word, k uint64) (sum netlist.Word, cout int) {
-	ky := b.ConstWord(k, len(x))
-	return RippleAdder(b, x, ky, b.Const(false))
-}
-
-// Negate emits the two's-complement negation of x.
-func Negate(b *netlist.Builder, x netlist.Word) netlist.Word {
-	inv := b.NotWord(x)
-	s, _ := Incrementer(b, inv)
-	return s
-}
-
 func checkWidths(op string, x, y netlist.Word) {
 	if len(x) != len(y) || len(x) == 0 {
 		panic(fmt.Sprintf("rtl: %s width mismatch %d vs %d", op, len(x), len(y)))

@@ -22,34 +22,6 @@ func IsZero(b *netlist.Builder, x netlist.Word) int {
 	return b.Not(b.OrTree(ors))
 }
 
-// LessUnsigned emits an unsigned x < y comparator built on a
-// subtractor: x < y iff x - y borrows (carry out is 0).
-func LessUnsigned(b *netlist.Builder, x, y netlist.Word) int {
-	_, cout := AddSub(b, x, y, b.Const(true))
-	return b.Not(cout)
-}
-
-// LessSigned emits a signed (two's complement) x < y comparator:
-// less = (diffSign & xNeg) | (sameSign & borrowPattern), implemented
-// via the standard N xor V overflow formulation.
-func LessSigned(b *netlist.Builder, x, y netlist.Word) int {
-	checkWidths("LessSigned", x, y)
-	diff, cout := AddSub(b, x, y, b.Const(true))
-	n := diff[len(diff)-1] // sign of x-y
-	// Overflow V = cin(top) XOR cout(top). cin of the top full adder
-	// is not directly exposed, so use the operand-sign formulation:
-	// V = (xs != ys') & (n != xs), with ys' the effective (inverted)
-	// y sign for subtraction.
-	xs := x[len(x)-1]
-	ys := y[len(y)-1]
-	_ = cout
-	// V = (xs ^ ys) & (n ^ xs): overflow can only occur when the
-	// operand signs differ for subtraction, and then the result sign
-	// disagrees with x's sign.
-	v := b.And(b.Xor(xs, ys), b.Xor(n, xs))
-	return b.Xor(n, v)
-}
-
 // MSB returns the top bit of a bus (the sign for two's complement).
 // The paper's compare unit "checks MSB bits of ALU results"; this is
 // that check.

@@ -13,6 +13,24 @@ func builder() *netlist.Builder {
 	return netlist.NewBuilder("t", cell.Default65nm())
 }
 
+// constWord returns a bus of tie cells holding the low width bits of v.
+func constWord(b *netlist.Builder, v uint64, width int) netlist.Word {
+	w := make(netlist.Word, width)
+	for i := range w {
+		w[i] = b.Const(v>>uint(i)&1 == 1)
+	}
+	return w
+}
+
+// setPI drives one primary input.
+func setPI(s *gsim.Simulator, net int, v bool) {
+	var w uint64
+	if v {
+		w = 1
+	}
+	s.SetPIWord(netlist.Word{net}, w)
+}
+
 func sim(t *testing.T, nl *netlist.Netlist) *gsim.Simulator {
 	t.Helper()
 	if err := nl.Validate(); err != nil {
@@ -29,7 +47,7 @@ func TestRippleAdderExhaustive4(t *testing.T) {
 	b := builder()
 	x := b.InputWord("x", 4)
 	y := b.InputWord("y", 4)
-	cin := b.Input("cin")
+	cin := b.NL.AddPI("cin")
 	sum, cout := RippleAdder(b, x, y, cin)
 	s := sim(t, b.NL)
 	for a := uint64(0); a < 16; a++ {
@@ -37,7 +55,7 @@ func TestRippleAdderExhaustive4(t *testing.T) {
 			for ci := uint64(0); ci < 2; ci++ {
 				s.SetPIWord(x, a)
 				s.SetPIWord(y, c)
-				s.SetPI(cin, ci == 1)
+				setPI(s, cin, ci == 1)
 				s.Eval()
 				want := a + c + ci
 				got := s.Word(sum)
@@ -99,7 +117,7 @@ func TestAddSub(t *testing.T) {
 	b := builder()
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
-	sub := b.Input("sub")
+	sub := b.NL.AddPI("sub")
 	res, _ := AddSub(b, x, y, sub)
 	s := sim(t, b.NL)
 	cases := []struct {
@@ -116,7 +134,7 @@ func TestAddSub(t *testing.T) {
 	for _, tc := range cases {
 		s.SetPIWord(x, tc.a)
 		s.SetPIWord(y, tc.c)
-		s.SetPI(sub, tc.sub)
+		setPI(s, sub, tc.sub)
 		s.Eval()
 		if got := s.Word(res); got != tc.want {
 			t.Errorf("a=%d c=%d sub=%v: got %d, want %d", tc.a, tc.c, tc.sub, got, tc.want)
@@ -142,42 +160,12 @@ func TestIncrementer(t *testing.T) {
 	}
 }
 
-func TestIncrementerBy(t *testing.T) {
-	b := builder()
-	x := b.InputWord("x", 8)
-	sum, _ := IncrementerBy(b, x, 16)
-	s := sim(t, b.NL)
-	for _, v := range []uint64{0, 100, 250} {
-		s.SetPIWord(x, v)
-		s.Eval()
-		if got := s.Word(sum); got != (v+16)&0xFF {
-			t.Errorf("%d+16 = %d", v, got)
-		}
-	}
-}
-
-func TestNegate(t *testing.T) {
-	b := builder()
-	x := b.InputWord("x", 8)
-	neg := Negate(b, x)
-	s := sim(t, b.NL)
-	for _, v := range []uint64{0, 1, 5, 128, 255} {
-		s.SetPIWord(x, v)
-		s.Eval()
-		if got := s.Word(neg); got != (-v)&0xFF {
-			t.Errorf("-%d = %d, want %d", v, got, (-v)&0xFF)
-		}
-	}
-}
-
 func TestComparators(t *testing.T) {
 	b := builder()
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
 	eq := Equal(b, x, y)
 	zx := IsZero(b, x)
-	ltu := LessUnsigned(b, x, y)
-	lts := LessSigned(b, x, y)
 	s := sim(t, b.NL)
 	cases := []struct{ a, c uint64 }{
 		{0, 0}, {1, 0}, {0, 1}, {5, 5}, {127, 128}, {128, 127}, {255, 1}, {200, 200}, {0x80, 0x80},
@@ -192,30 +180,6 @@ func TestComparators(t *testing.T) {
 		if s.Val(zx) != (tc.a == 0) {
 			t.Errorf("zero(%d) wrong", tc.a)
 		}
-		if s.Val(ltu) != (tc.a < tc.c) {
-			t.Errorf("ltu(%d,%d) = %v", tc.a, tc.c, s.Val(ltu))
-		}
-		sa, sc := int8(tc.a), int8(tc.c)
-		if s.Val(lts) != (sa < sc) {
-			t.Errorf("lts(%d,%d) = %v", sa, sc, s.Val(lts))
-		}
-	}
-}
-
-func TestLessSignedProperty(t *testing.T) {
-	b := builder()
-	x := b.InputWord("x", 8)
-	y := b.InputWord("y", 8)
-	lts := LessSigned(b, x, y)
-	s := sim(t, b.NL)
-	f := func(a, c uint8) bool {
-		s.SetPIWord(x, uint64(a))
-		s.SetPIWord(y, uint64(c))
-		s.Eval()
-		return s.Val(lts) == (int8(a) < int8(c))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -263,7 +227,7 @@ func TestMuxTree(t *testing.T) {
 	b := builder()
 	words := make([]netlist.Word, 8)
 	for i := range words {
-		words[i] = b.ConstWord(uint64(i*3), 8)
+		words[i] = constWord(b, uint64(i*3), 8)
 	}
 	sel := b.InputWord("sel", 3)
 	out := MuxTree(b, words, sel)
@@ -295,16 +259,16 @@ func TestDecoder(t *testing.T) {
 
 func TestOneHotMux(t *testing.T) {
 	b := builder()
-	sels := []int{b.Input("s0"), b.Input("s1"), b.Input("s2")}
+	sels := []int{b.NL.AddPI("s0"), b.NL.AddPI("s1"), b.NL.AddPI("s2")}
 	words := []netlist.Word{
-		b.ConstWord(5, 4), b.ConstWord(9, 4), b.ConstWord(12, 4),
+		constWord(b, 5, 4), constWord(b, 9, 4), constWord(b, 12, 4),
 	}
 	out := OneHotMux(b, sels, words)
 	s := sim(t, b.NL)
 	wants := []uint64{5, 9, 12}
 	for i := range sels {
 		for j, sl := range sels {
-			s.SetPI(sl, i == j)
+			setPI(s, sl, i == j)
 		}
 		s.Eval()
 		if got := s.Word(out); got != wants[i] {
@@ -313,7 +277,7 @@ func TestOneHotMux(t *testing.T) {
 	}
 	// No select high -> zero.
 	for _, sl := range sels {
-		s.SetPI(sl, false)
+		setPI(s, sl, false)
 	}
 	s.Eval()
 	if s.Word(out) != 0 {
@@ -344,8 +308,8 @@ func TestExtend(t *testing.T) {
 func TestRegisterFile(t *testing.T) {
 	b := builder()
 	raddr := []netlist.Word{b.InputWord("ra0", 3), b.InputWord("ra1", 3)}
-	w0 := WritePort{Addr: b.InputWord("wa0", 3), Data: b.InputWord("wd0", 8), En: b.Input("we0")}
-	w1 := WritePort{Addr: b.InputWord("wa1", 3), Data: b.InputWord("wd1", 8), En: b.Input("we1")}
+	w0 := WritePort{Addr: b.InputWord("wa0", 3), Data: b.InputWord("wd0", 8), En: b.NL.AddPI("we0")}
+	w1 := WritePort{Addr: b.InputWord("wa1", 3), Data: b.InputWord("wd1", 8), En: b.NL.AddPI("we1")}
 	rf := RegisterFile(b, 8, 8, raddr, []WritePort{w0, w1})
 	rdata := rf.Read
 	if len(rf.Q) != 8 || len(rf.Q[3]) != 8 {
@@ -356,7 +320,7 @@ func TestRegisterFile(t *testing.T) {
 	write := func(p WritePort, addr, data uint64, en bool) {
 		s.SetPIWord(p.Addr, addr)
 		s.SetPIWord(p.Data, data)
-		s.SetPI(p.En, en)
+		setPI(s, p.En, en)
 	}
 	// Cycle 1: write r3=0x5A on port0, r5=0x77 on port1.
 	write(w0, 3, 0x5A, true)
@@ -434,8 +398,8 @@ func TestShifterDyn(t *testing.T) {
 	b := builder()
 	x := b.InputWord("x", 16)
 	amt := b.InputWord("amt", 4)
-	right := b.Input("right")
-	arith := b.Input("arith")
+	right := b.NL.AddPI("right")
+	arith := b.NL.AddPI("arith")
 	fill := b.And(arith, MSB(x))
 	out := ShifterDyn(b, x, amt, right, fill)
 	s := sim(t, b.NL)
@@ -451,8 +415,8 @@ func TestShifterDyn(t *testing.T) {
 			} {
 				s.SetPIWord(x, v)
 				s.SetPIWord(amt, sh)
-				s.SetPI(right, mode.right)
-				s.SetPI(arith, mode.arith)
+				setPI(s, right, mode.right)
+				setPI(s, arith, mode.arith)
 				s.Eval()
 				if got := s.Word(out); got != mode.want {
 					t.Fatalf("dyn shift v=%#x sh=%d right=%v arith=%v: got %#x want %#x",

@@ -15,8 +15,8 @@ import (
 // own writer, so the fuzzer starts from well-formed input.
 func writerCorpus() string {
 	b := netlist.NewBuilder("fuzz (seed)", cell.Default65nm())
-	x := b.Input("x")
-	y := b.Input("y")
+	x := b.NL.AddPI("x")
+	y := b.NL.AddPI("y")
 	b.DFF(b.And(b.Xor(x, y), b.Not(x)))
 	delays := make([]float64, b.NL.NumCells())
 	for i := range delays {

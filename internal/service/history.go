@@ -83,16 +83,6 @@ func (h *MetricsHistory) Record(s Snapshot) {
 	h.mu.Unlock()
 }
 
-// Len returns the number of retained points.
-func (h *MetricsHistory) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.points)
-}
-
 // HistoryView is the /metrics/history payload: the points inside the
 // window (oldest first) plus rates derived from the window's first
 // and last points (nil with fewer than two points).

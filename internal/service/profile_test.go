@@ -30,8 +30,11 @@ func TestFieldSweepProfileDominantNode(t *testing.T) {
 	}
 
 	cold := run("cold")
-	dom := cold.Dominant()
-	if dom == nil || dom.Kind != "field" {
+	if len(cold.Nodes) == 0 {
+		t.Fatal("cold profile has no cost centers")
+	}
+	dom := cold.Nodes[0]
+	if dom.Kind != "field" {
 		t.Fatalf("dominant node = %+v; want the field shard kind", dom)
 	}
 	if dom.Misses != 18 || dom.Hits != 0 {

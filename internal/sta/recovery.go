@@ -38,22 +38,16 @@ func DefaultRecoveryTargets() RecoveryTargets {
 	}
 }
 
-// SlackRecovery computes a per-instance derate vector (>= 1) that
+// SlackRecoveryCtx computes a per-instance derate vector (>= 1) that
 // slows non-critical logic until each stage sits near target * clock,
 // emulating post-synthesis power recovery. The vector composes
 // multiplicatively with variation and voltage scales. maxDerate caps
 // the per-cell slowdown (bounding how much a sizing/Vt swap could
-// plausibly slow a cell); iterations bounds the relaxation loop.
-func (a *Analyzer) SlackRecovery(clockPS float64, targets RecoveryTargets, maxDerate float64, iterations int) []float64 {
-	derate, _ := a.SlackRecoveryCtx(context.Background(), clockPS, targets, maxDerate, iterations)
-	return derate
-}
-
-// SlackRecoveryCtx is SlackRecovery with cancellation: the incremental
-// re-analysis loop (one full timing run plus a backward required-time
-// pass per iteration) checks ctx between iterations and returns the
-// derate vector relaxed so far together with an error matching
-// flowerr.ErrCancelled when the context expires mid-loop.
+// plausibly slow a cell); iterations bounds the relaxation loop. The
+// incremental re-analysis loop (one full timing run plus a backward
+// required-time pass per iteration) checks ctx between iterations and
+// returns the derate vector relaxed so far together with an error
+// matching flowerr.ErrCancelled when the context expires mid-loop.
 func (a *Analyzer) SlackRecoveryCtx(ctx context.Context, clockPS float64, targets RecoveryTargets, maxDerate float64, iterations int) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // chain between flops.
 func twoStage(fast, slow int) *netlist.Netlist {
 	b := netlist.NewBuilder("ts", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	nf, ns := q, q
 	for i := 0; i < fast; i++ {
@@ -41,7 +42,10 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 		netlist.StageDecode:  0.95,
 		netlist.StageExecute: 1.0,
 	}
-	derate := a.SlackRecovery(clock, targets, 50, 30)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, targets, 50, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := a.Run(clock, derate)
 	dec := rep.Lanes[netlist.StageDecode].WorstArr
 	ex := rep.Lanes[netlist.StageExecute].WorstArr
@@ -70,7 +74,10 @@ func TestSlackRecoveryRespectsMaxDerate(t *testing.T) {
 	a := analyze(t, nl)
 	nom := a.Run(1e9, nil)
 	clock := nom.Lanes[netlist.StageExecute].WorstArr
-	derate := a.SlackRecovery(clock, DefaultRecoveryTargets(), 2.0, 30)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, DefaultRecoveryTargets(), 2.0, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, f := range derate {
 		if f > 2.0+1e-9 {
 			t.Fatalf("derate[%d] = %g exceeds cap", i, f)
@@ -119,7 +126,10 @@ func TestVexRecoveryReproducesStageWall(t *testing.T) {
 	}
 	nom := a.Run(1e9, nil)
 	clock := nom.CritPS * 1.01
-	derate := a.SlackRecovery(clock, DefaultRecoveryTargets(), 12, 25)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, DefaultRecoveryTargets(), 12, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := a.Run(clock, derate)
 
 	ex := rep.Lanes[netlist.StageExecute].WorstArr

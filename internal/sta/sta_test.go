@@ -13,7 +13,7 @@ import (
 // pipe builds DFF -> inv chain (n deep) -> DFF.
 func pipe(depth int) *netlist.Netlist {
 	b := netlist.NewBuilder("pipe", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	restore := b.Scope(netlist.StageDecode, "stage1")
 	q := b.DFF(d)
 	restore()
@@ -92,7 +92,7 @@ func TestScaleIsPerInstance(t *testing.T) {
 	// Two parallel chains; slowing only one must move only its
 	// endpoint.
 	b := netlist.NewBuilder("two", cell.Default65nm())
-	d := b.Input("d")
+	d := b.NL.AddPI("d")
 	q := b.DFF(d)
 	n1, n2 := q, q
 	for i := 0; i < 5; i++ {

@@ -13,12 +13,6 @@ func ChiSquareSF(x float64, k int) float64 {
 	return regularizedGammaQ(float64(k)/2, x/2)
 }
 
-// ChiSquareCDF returns P(X <= x) for a chi-square with k degrees of
-// freedom.
-func ChiSquareCDF(x float64, k int) float64 {
-	return 1 - ChiSquareSF(x, k)
-}
-
 // regularizedGammaQ computes Q(a, x) = Gamma(a, x)/Gamma(a), the
 // regularized upper incomplete gamma function, using the series
 // expansion for x < a+1 and the continued fraction otherwise

@@ -12,7 +12,6 @@ type Histogram struct {
 	Counts []int
 	Under  int // samples below Lo
 	Over   int // samples at or above Hi
-	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins spanning
@@ -27,7 +26,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.Lo:
 		h.Under++
@@ -42,30 +40,10 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// samples.
-func (h *Histogram) Total() int { return h.total }
-
 // BinCenter returns the center x of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the estimated probability density at bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.total) * w)
 }
 
 // Render draws an ASCII bar chart of the histogram, width characters

@@ -76,12 +76,6 @@ func matchMathRand(t *testing.T, how string, seed int64, s *Stream, r *rand.Rand
 		if got, want := s.Perm(9), r.Perm(9); !equalInts(got, want) {
 			fail("Perm", got, want)
 		}
-		got, want := []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{0, 1, 2, 3, 4, 5, 6, 7}
-		s.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
-		r.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
-		if !equalInts(got, want) {
-			fail("Shuffle", got, want)
-		}
 	}
 	return tails
 }

@@ -61,12 +61,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return Summarize(xs).StdDev }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It sorts a copy.
 func Percentile(xs []float64, p float64) float64 {
@@ -97,15 +91,6 @@ type Normal struct {
 	Sigma float64
 }
 
-// PDF returns the probability density at x.
-func (n Normal) PDF(x float64) float64 {
-	if n.Sigma <= 0 {
-		return 0
-	}
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // CDF returns the cumulative probability P(X <= x).
 func (n Normal) CDF(x float64) float64 {
 	if n.Sigma <= 0 {
@@ -127,10 +112,6 @@ func (n Normal) Quantile(p float64) float64 {
 	}
 	return n.Mu + n.Sigma*math.Sqrt2*math.Erfinv(2*p-1)
 }
-
-// ThreeSigmaHigh returns mu + 3 sigma, the upper 3-sigma point the
-// paper uses to size worst-case degradation.
-func (n Normal) ThreeSigmaHigh() float64 { return n.Mu + 3*n.Sigma }
 
 // FitNormal estimates a Normal from samples by moment matching.
 func FitNormal(xs []float64) (Normal, error) {

@@ -67,9 +67,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 
 func TestNormalPDFCDF(t *testing.T) {
 	n := Normal{Mu: 0, Sigma: 1}
-	if !almostEqual(n.PDF(0), 1/math.Sqrt(2*math.Pi), 1e-12) {
-		t.Errorf("pdf(0) = %g", n.PDF(0))
-	}
 	if !almostEqual(n.CDF(0), 0.5, 1e-12) {
 		t.Errorf("cdf(0) = %g", n.CDF(0))
 	}
@@ -79,9 +76,6 @@ func TestNormalPDFCDF(t *testing.T) {
 	shifted := Normal{Mu: 10, Sigma: 2}
 	if !almostEqual(shifted.CDF(10), 0.5, 1e-12) {
 		t.Errorf("shifted cdf(mu) = %g", shifted.CDF(10))
-	}
-	if shifted.ThreeSigmaHigh() != 16 {
-		t.Errorf("3-sigma high = %g, want 16", shifted.ThreeSigmaHigh())
 	}
 }
 
@@ -100,9 +94,6 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 
 func TestNormalDegenerateSigma(t *testing.T) {
 	n := Normal{Mu: 1, Sigma: 0}
-	if n.PDF(1) != 0 {
-		t.Error("degenerate pdf should be 0")
-	}
 	if n.CDF(0.5) != 0 || n.CDF(1.5) != 1 {
 		t.Error("degenerate cdf should be a step")
 	}
@@ -146,9 +137,6 @@ func TestChiSquareSFKnownValues(t *testing.T) {
 	}
 	if ChiSquareSF(-1, 3) != 1 || ChiSquareSF(0, 3) != 1 {
 		t.Error("SF(x<=0) should be 1")
-	}
-	if !almostEqual(ChiSquareCDF(3.841, 1), 0.95, 2e-4) {
-		t.Error("CDF complement broken")
 	}
 }
 
@@ -261,7 +249,9 @@ func TestRederiveMatchesDeriveStream(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
-	h.AddAll([]float64{-1, 0, 0.5, 5, 9.999, 10, 42})
+	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 42} {
+		h.Add(x)
+	}
 	if h.Under != 1 {
 		t.Errorf("under = %d, want 1", h.Under)
 	}
@@ -274,32 +264,11 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Counts[9] != 1 {
 		t.Errorf("bin9 = %d, want 1", h.Counts[9])
 	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
 	if !almostEqual(h.BinCenter(0), 0.5, 1e-12) {
 		t.Errorf("bin center = %g", h.BinCenter(0))
 	}
 	if h.Render(20) == "" {
 		t.Error("render empty")
-	}
-}
-
-func TestHistogramDensityIntegratesToCoverage(t *testing.T) {
-	h := NewHistogram(-4, 4, 40)
-	st := NewStream(5)
-	n := 10000
-	for i := 0; i < n; i++ {
-		h.Add(st.Normal(0, 1))
-	}
-	integral := 0.0
-	w := 8.0 / 40.0
-	for i := range h.Counts {
-		integral += h.Density(i) * w
-	}
-	inRange := float64(n-h.Under-h.Over) / float64(n)
-	if !almostEqual(integral, inRange, 1e-9) {
-		t.Errorf("density integral %g != in-range fraction %g", integral, inRange)
 	}
 }
 

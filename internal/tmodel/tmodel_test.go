@@ -2,6 +2,7 @@ package tmodel
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"math"
@@ -44,7 +45,10 @@ func newFix(t *testing.T) *fix {
 		t.Fatal(err)
 	}
 	clock := a.Run(1e9, nil).CritPS * 1.02
-	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 10)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, sta.DefaultRecoveryTargets(), 12, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	kern := sta.NewKernel(a)
 	n := kern.NumCells()
 

@@ -112,7 +112,7 @@ func TestDiagonalPositionsOrdered(t *testing.T) {
 func testPlacement(t *testing.T) *place.Placement {
 	t.Helper()
 	b := netlist.NewBuilder("v", cell.Default65nm())
-	x := b.Input("x")
+	x := b.NL.AddPI("x")
 	n := x
 	for i := 0; i < 200; i++ {
 		n = b.Not(n)
@@ -150,7 +150,7 @@ func TestSampleChipPositionShift(t *testing.T) {
 	pl := testPlacement(t)
 	lgA := m.SampleChip(pl, Pos{Name: "A"}, stats.NewStream(3))
 	lgD := m.SampleChip(pl, Pos{Name: "D", XMM: 0.7 * m.ChipMM, YMM: 0.7 * m.ChipMM}, stats.NewStream(3))
-	if stats.Mean(lgA) <= stats.Mean(lgD) {
+	if stats.Summarize(lgA).Mean <= stats.Summarize(lgD).Mean {
 		t.Error("point A should have longer (slower) gates than D")
 	}
 }

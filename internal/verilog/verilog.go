@@ -146,13 +146,3 @@ func escapeID(s string) string {
 	}, s)
 	return `\` + clean + ` `
 }
-
-// Stats returns instance counts per cell name: the summary printed at
-// the end of netlist reports.
-func Stats(nl *netlist.Netlist) map[string]int {
-	out := make(map[string]int)
-	for i := range nl.Insts {
-		out[nl.Cell(i).Name]++
-	}
-	return out
-}

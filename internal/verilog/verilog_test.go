@@ -12,9 +12,9 @@ import (
 
 func TestWriteSmallNetlist(t *testing.T) {
 	b := netlist.NewBuilder("toy", cell.Default65nm())
-	a := b.Input("a")
-	c := b.Input("c")
-	x := b.Nand(a, c)
+	a := b.NL.AddPI("a")
+	c := b.NL.AddPI("c")
+	x := b.Gate(cell.Nand2, a, c)
 	q := b.DFF(x)
 	b.Output(q)
 	var buf bytes.Buffer
@@ -85,9 +85,10 @@ func TestFullCoreEmits(t *testing.T) {
 	if lines < core.NL.NumCells() {
 		t.Errorf("only %d statements for %d cells", lines, core.NL.NumCells())
 	}
-	st := Stats(core.NL)
-	if st["DFF"] == 0 || st["MUX2"] == 0 {
-		t.Errorf("stats missing kinds: %v", st)
+	for _, kind := range []string{"DFF", "MUX2"} {
+		if !strings.Contains(out, "\n  "+kind+" ") {
+			t.Errorf("no %s instance written", kind)
+		}
 	}
 }
 

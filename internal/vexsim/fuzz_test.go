@@ -88,9 +88,9 @@ func TestRandomProgramCoSim(t *testing.T) {
 		}
 		cycles := len(prog) + 8
 		m.Run(cycles)
-		tb.Run(cycles)
+		run(t, tb, cycles)
 		for r := 0; r < core.Cfg.Regs; r++ {
-			if got, want := tb.Reg(r), m.RF[r]; got != want {
+			if got, want := reg(tb, r), m.RF[r]; got != want {
 				t.Fatalf("trial %d: r%d netlist=%#x reference=%#x", trial, r, got, want)
 			}
 		}
@@ -118,13 +118,13 @@ func TestRandomBranchyProgramCoSim(t *testing.T) {
 		}
 		cycles := 2*len(prog) + 8
 		m.Run(cycles)
-		tb.Run(cycles)
+		run(t, tb, cycles)
 		if m.PC != tb.Sim.Word(core.PCOut) {
 			// PC comparison needs a settle for the netlist.
 			tb.Sim.Eval()
 		}
 		for r := 0; r < core.Cfg.Regs; r++ {
-			if got, want := tb.Reg(r), m.RF[r]; got != want {
+			if got, want := reg(tb, r), m.RF[r]; got != want {
 				t.Fatalf("trial %d: r%d netlist=%#x reference=%#x", trial, r, got, want)
 			}
 		}

@@ -76,7 +76,7 @@ func TestFIRActivityGolden(t *testing.T) {
 				t.Skip("full-size core co-simulation")
 			}
 			bench, fir := firTestbench(t, c.cfg, c.n, c.taps, c.seed)
-			bench.Run(fir.Cycles)
+			run(t, bench, fir.Cycles)
 			if fir.Cycles != c.wantCycles {
 				t.Errorf("cycles = %d, want %d", fir.Cycles, c.wantCycles)
 			}
@@ -104,16 +104,17 @@ func BenchmarkTestbenchFIR(b *testing.B) {
 		{"full", vex.DefaultConfig(), 48, 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			bench, fir := firTestbench(b, c.cfg, c.n, c.taps, 1)
+			first, fir := firTestbench(b, c.cfg, c.n, c.taps, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				bench.Sim.Reset()
-				clear(bench.DMem)
-				copy(bench.DMem, fir.DMem)
+				bench, err := NewTestbench(first.Core, fir.Prog, fir.DMem)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.StartTimer()
-				bench.Run(fir.Cycles)
+				run(b, bench, fir.Cycles)
 			}
 		})
 	}

@@ -58,6 +58,8 @@ type ewLatch struct {
 
 // NewMachine creates a reference machine executing prog (encoded
 // bundles) with the given initial data memory (copied; may be nil).
+//
+//lint:ignore deadcode reference machine the co-simulation and fuzz tests compare the netlist against (coSim, TestRandomProgramCoSim)
 func NewMachine(cfg vex.Config, prog [][]uint32, dmem []uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -91,6 +93,8 @@ func (m *Machine) pcMask() uint64 { return 1<<uint(m.Cfg.PCBits) - 1 }
 func (m *Machine) immS(v int32) uint64 { return uint64(int64(v)) & m.mask() }
 
 // Cycle returns the number of executed cycles.
+//
+//lint:ignore deadcode reference machine: TestMachineRunsPastProgramEnd
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
 // fetchWord returns the program word at pc for one slot; beyond the
@@ -203,6 +207,8 @@ func (m *Machine) Step() {
 }
 
 // Run executes n cycles.
+//
+//lint:ignore deadcode reference machine: coSim and the fuzz co-simulation tests
 func (m *Machine) Run(n int) {
 	for i := 0; i < n; i++ {
 		m.Step()

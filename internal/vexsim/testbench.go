@@ -106,11 +106,6 @@ func (tb *Testbench) Step() {
 	s.Step()
 }
 
-// Run executes n cycles.
-func (tb *Testbench) Run(n int) {
-	_ = tb.RunContext(context.Background(), n)
-}
-
 // RunContext executes up to n cycles, polling ctx every 64 cycles and
 // stopping with an error matching flowerr.ErrCancelled when it
 // expires. Memory state and switching activity reflect the cycles run.
@@ -127,12 +122,6 @@ func (tb *Testbench) RunContext(ctx context.Context, n int) error {
 		tb.Step()
 	}
 	return nil
-}
-
-// Reg reads architectural register r from the netlist state.
-func (tb *Testbench) Reg(r int) uint64 {
-	tb.Sim.Eval()
-	return tb.Sim.Word(tb.Core.RegQ[r])
 }
 
 // Activity returns the per-net switching activity collected so far.

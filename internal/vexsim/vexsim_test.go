@@ -1,6 +1,7 @@
 package vexsim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -11,6 +12,20 @@ import (
 	"vipipe/internal/netlist"
 	"vipipe/internal/vex"
 )
+
+// run executes n cycles of tb, failing the test on error.
+func run(t testing.TB, tb *Testbench, n int) {
+	t.Helper()
+	if err := tb.RunContext(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reg reads architectural register r from the netlist state.
+func reg(tb *Testbench, r int) uint64 {
+	tb.Sim.Eval()
+	return tb.Sim.Word(tb.Core.RegQ[r])
+}
 
 func mustAssemble(t *testing.T, cfg vex.Config, src string) [][]uint32 {
 	t.Helper()
@@ -47,9 +62,9 @@ func coSim(t *testing.T, core *vex.Core, prog [][]uint32, dmem []uint64, cycles 
 		t.Fatal(err)
 	}
 	m.Run(cycles)
-	tb.Run(cycles)
+	run(t, tb, cycles)
 	for r := 0; r < core.Cfg.Regs; r++ {
-		if got, want := tb.Reg(r), m.RF[r]; got != want {
+		if got, want := reg(tb, r), m.RF[r]; got != want {
 			t.Errorf("after %d cycles: r%d netlist=%#x reference=%#x", cycles, r, got, want)
 		}
 	}

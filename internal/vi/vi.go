@@ -154,35 +154,26 @@ func (p *Partition) Domains(k int) []cell.Domain {
 
 // Options configures island generation.
 type Options struct {
-	Strategy   Strategy
-	ClockPS    float64
-	Derate     []float64 // slack-recovery derates (may be nil)
-	Samples    int       // Monte Carlo samples per compensation check (default 60)
-	Seed       int64
-	YieldSigma float64 // required slack margin in sigmas (default 2)
-	// Granularity is the slice-boundary resolution as a fraction of
-	// the die extent (default 1/64).
-	Granularity float64
-	// MaxFrac bounds the total slice extent (default 1.0: the most
-	// severe scenario may require boosting the whole core).
-	MaxFrac float64
+	Strategy Strategy
+	ClockPS  float64
+	Derate   []float64 // slack-recovery derates (may be nil)
+	Samples  int       // Monte Carlo samples per compensation check (default 60)
+	Seed     int64
 	// ForceSide overrides density-driven start-side selection (for
 	// the ablation study); nil = pick by density.
 	ForceSide *Side
 }
 
+// The compensation search's fixed parameters.
+const (
+	yieldSigma  = 2.0      // required slack margin in sigmas
+	granularity = 1.0 / 64 // slice-boundary resolution, as a fraction of the die extent
+	maxFrac     = 1.0      // largest slice extent: the most severe scenario may boost the whole core
+)
+
 func (o *Options) setDefaults() {
 	if o.Samples <= 0 {
 		o.Samples = 60
-	}
-	if o.YieldSigma <= 0 {
-		o.YieldSigma = 2
-	}
-	if o.Granularity <= 0 {
-		o.Granularity = 1.0 / 64
-	}
-	if o.MaxFrac <= 0 {
-		o.MaxFrac = 1.0
 	}
 }
 
@@ -264,7 +255,7 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 	// meets reports whether powering all cells within frac of the
 	// start side at high Vdd compensates the worst-case violation at
 	// pos: the fitted slack distribution must clear zero by
-	// YieldSigma sigmas.
+	// yieldSigma sigmas.
 	meets := func(ctx context.Context, frac float64, pos variation.Pos) (bool, error) {
 		domains := make([]cell.Domain, nl.NumCells())
 		bound := frac * extent
@@ -286,7 +277,7 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		worst := math.Inf(1)
 		for _, st := range mc.PipelineStages {
 			if d := res.PerStage[st]; d != nil {
-				if m := d.Fit.Mu - opts.YieldSigma*d.Fit.Sigma; m < worst {
+				if m := d.Fit.Mu - yieldSigma*d.Fit.Sigma; m < worst {
 					worst = m
 				}
 			}
@@ -304,7 +295,7 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		islandCtx, span := obs.Start(ctx, fmt.Sprintf("vi.island/%d", k+1))
 		span.SetAttr("strategy", opts.Strategy)
 		span.SetAttr("pos", pos.Name)
-		lo, hi := prevFrac, opts.MaxFrac
+		lo, hi := prevFrac, maxFrac
 		ok, err := meets(islandCtx, hi, pos)
 		checks := 1
 		if err != nil {
@@ -314,9 +305,9 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		if !ok {
 			span.End()
 			return nil, flowerr.BadInputf("vi: %s slicing cannot compensate scenario %d (position %s) even at %.0f%% high-Vdd",
-				opts.Strategy, k+1, pos.Name, 100*opts.MaxFrac)
+				opts.Strategy, k+1, pos.Name, 100*maxFrac)
 		}
-		for hi-lo > opts.Granularity {
+		for hi-lo > granularity {
 			mid := (lo + hi) / 2
 			ok, err := meets(islandCtx, mid, pos)
 			checks++

@@ -38,7 +38,10 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	clock := a.Run(1e9, nil).CritPS * 1.001
-	derate := a.SlackRecovery(clock, sta.DefaultRecoveryTargets(), 12, 25)
+	derate, err := a.SlackRecoveryCtx(context.Background(), clock, sta.DefaultRecoveryTargets(), 12, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &fixture{core: core, pl: pl, a: a, model: variation.Default(), derate: derate, clock: clock}
 }
 
@@ -347,7 +350,7 @@ func TestCountCrossingsMatchesInsertion(t *testing.T) {
 
 func TestCountCrossingsIgnoresTiesAndPIs(t *testing.T) {
 	b := netlist.NewBuilder("t", cell.Default65nm())
-	pi := b.Input("pi")
+	pi := b.NL.AddPI("pi")
 	k := b.Const(true)
 	x := b.And(pi, k)
 	y := b.Not(x)

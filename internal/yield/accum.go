@@ -85,9 +85,6 @@ func (a Fixed128) Float64() float64 {
 	return v
 }
 
-// IsZero reports whether the accumulator is exactly zero.
-func (a Fixed128) IsZero() bool { return a.Hi == 0 && a.Lo == 0 }
-
 // Moments is a streaming first/second-moment accumulator over float64
 // observations. Sum and SumSq are exact fixed-point integers, so
 // Merge is associative and commutative bit-for-bit; Min/Max are exact

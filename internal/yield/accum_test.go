@@ -25,7 +25,7 @@ func TestFixed128RoundTrip(t *testing.T) {
 			t.Errorf("round trip %v -> %v", v, got)
 		}
 	}
-	if !FixedFromFloat(math.NaN()).IsZero() {
+	if FixedFromFloat(math.NaN()) != (Fixed128{}) {
 		t.Error("NaN should contribute zero")
 	}
 }

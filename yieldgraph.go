@@ -113,10 +113,6 @@ func NewYieldGraph(cfg Config, plan yield.Plan, store pipeline.Store, opts ...pi
 			return int64(len(s.Positions))*int64(len(s.PeriodsPS))*16 + 4096
 		},
 	})
-
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
 	return g, surfaceID, nil
 }
 
