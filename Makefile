@@ -41,12 +41,13 @@ test:
 # gate-level simulation, the pipeline graph scheduler, the timing
 # kernels and yield shards that run side by side over one shared
 # kernel structure, the forked chip samplers that share one
-# systematic map and the package-level seeding and ziggurat tables)
-# and the facade run under the race detector; this is what validates
-# the worker-drain guarantees of mc.Run and the graph's concurrent
-# node scheduling.
+# systematic map and the package-level seeding and ziggurat tables,
+# the island search that re-runs one set of worker cores across its
+# checks) and the facade run under the race detector; this is what
+# validates the worker-drain guarantees of mc.Run and the graph's
+# concurrent node scheduling.
 race:
-	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield ./internal/variation
+	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield ./internal/variation ./internal/vi
 
 # The fault-injection suite: corrupted SDF/DEF/netlist/placement/region
 # artifacts must yield typed errors, never panics.
@@ -82,15 +83,15 @@ crash-it:
 # one-iteration ci variant: it proves the benchmarks still compile and
 # run without paying measurement time, the service ones, the
 # Monte Carlo sample layers (bound, refine, a whole full-core sample,
-# the draw, a yield shard), global placement, the FIR gate-level
-# co-simulation, and the pipeline layer (Store.Do hit and miss per
-# store, one warm graph request).
+# the draw, a yield shard, the island search), global placement, the
+# FIR gate-level co-simulation, and the pipeline layer (Store.Do hit
+# and miss per store, one warm graph request).
 bench:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
 
 bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield
+	$(GO) test -run '^$$' -bench 'KernelBound|KernelRefine|ChipSample|SamplerDraw|ComputeShard|Generate' -benchtime 1x ./internal/sta ./internal/mc ./internal/variation ./internal/yield ./internal/vi
 	$(GO) test -run '^$$' -bench Global -benchtime 1x ./internal/place
 	$(GO) test -run '^$$' -bench TestbenchFIR -benchtime 1x ./internal/vexsim
 	$(GO) test -run '^$$' -bench 'StoreDo|GraphRequest' -benchtime 1x ./internal/pipeline

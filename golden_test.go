@@ -3,11 +3,15 @@ package vipipe
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 
 	"vipipe/internal/pipeline"
+	"vipipe/internal/vi"
 )
 
 // TestConfigHashGolden pins the content hashes that key every cached
@@ -93,4 +97,75 @@ func TestTimingModelGolden(t *testing.T) {
 			t.Errorf("%s: model digest %s, want %s — extraction output changed, see test comment", id, got, golden[id])
 		}
 	}
+}
+
+// TestIslandPartitionGolden pins the voltage-island partitions the
+// compensation search returns: the SHA-256 of each partition's Region
+// (int32, little-endian) followed by each island's FromUM and ToUM
+// float64 bits, for TestConfig seeds 1-3 under every strategy and for
+// the full core's vertical partition at seed 1. Any change to the
+// search's candidate slices, its Monte Carlo checks or the cells a
+// band takes shows up here.
+func TestIslandPartitionGolden(t *testing.T) {
+	strategies := []vi.Strategy{vi.Vertical, vi.Horizontal, vi.Corner}
+	golden := []struct {
+		full bool
+		seed int64
+		want []string // in strategies order; the full core runs vertical only
+	}{
+		{false, 1, []string{
+			"10a0d12cba55fc5100d80a1df6327db067e0ff4664d91e3a6093cb448b3da620",
+			"6fe46e9469e55b6f162568679f9c85072dca95ce4a98a7e10f8ee7573643da69",
+			"8996406824d23bafdf6e9eb78de42a47919bf179748cb0efcc8450e0c4038433",
+		}},
+		{false, 2, []string{
+			"5d55c5043caf94dc19880fff323f62ae62a95b2c40fd36bcf93909f1e1485f36",
+			"445d3b8f9fa249efd5e0449fefcfbfefde477d1f618dc64c32b6ca06cbea6c09",
+			"6691b9cacbafa3d9ba15bed14662616054ae777f22dae9b38fe6c028b7b6418a",
+		}},
+		{false, 3, []string{
+			"24bbb199cf0b0f888f3e7db9ad9e6b464cb6b328bf1fb9eb65be83bb73e44a9b",
+			"34e0e7209c7da9d2f2228e52c2a3c59b0fd3679d6a54f1773ad133a1fd4d1eb6",
+			"2d89da2824cf3d653d8879aa0477d58ca005c9cec5e9864e2bb473190a2b4c36",
+		}},
+		{true, 1, []string{
+			"0aea93691346c4f53bf07a9c318fd8618246fb0ee92a787e7547d3af82e08d1a",
+		}},
+	}
+	for _, g := range golden {
+		name := fmt.Sprintf("small-seed%d", g.seed)
+		cfg := TestConfig()
+		if g.full {
+			name, cfg = fmt.Sprintf("full-seed%d", g.seed), DefaultConfig()
+		}
+		cfg.Seed = g.seed
+		t.Run(name, func(t *testing.T) {
+			if g.full && testing.Short() {
+				t.Skip("full-size core island search")
+			}
+			f := New(cfg)
+			for i, want := range g.want {
+				part, err := f.GenerateIslands(context.Background(), strategies[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := partitionDigest(part); got != want {
+					t.Errorf("%v: partition digest %s, want %s — island search output changed, see test comment", strategies[i], got, want)
+				}
+			}
+		})
+	}
+}
+
+func partitionDigest(p *vi.Partition) string {
+	var b []byte
+	for _, r := range p.Region {
+		b = binary.LittleEndian.AppendUint32(b, uint32(r))
+	}
+	for _, isl := range p.Islands {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(isl.FromUM))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(isl.ToUM))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

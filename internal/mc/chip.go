@@ -13,8 +13,9 @@ import (
 // brackets each cell's delay scale, bounds the arrivals through its
 // kernel, and answers with the exact critical path or Frame, running
 // the exact scaler only on the cells the brackets cannot decide. The
-// derate, the supply domains and the clock are fixed at construction,
-// so the brackets and the exact scales always describe the same chip.
+// derate and the clock are fixed at construction and the supply domains
+// change only through SetDomains, between samples, so the brackets and
+// the exact scales always describe the same chip.
 //
 // A Chip is not safe for concurrent use; Fork gives each worker its
 // own.
@@ -45,20 +46,26 @@ func NewChip(kern *sta.Kernel, pl *place.Placement, tech *cell.Tech, model *vari
 	if derate != nil && len(derate) != n {
 		return nil, flowerr.BadInputf("mc: derate length %d != %d cells", len(derate), n)
 	}
-	if domains != nil && len(domains) != n {
-		return nil, flowerr.BadInputf("mc: domains length %d != %d cells", len(domains), n)
+	c := &Chip{kern: kern, clockPS: clockPS, derate: derate}
+	if err := c.SetDomains(domains); err != nil {
+		return nil, err
 	}
-	c := &Chip{
-		kern:    kern,
-		smp:     model.NewSampler(pl, pos, seed),
-		bounds:  tech.ScaleBounds(),
-		scaler:  tech.SampleScaler(),
-		clockPS: clockPS,
-		derate:  derate,
-		domains: domains,
-	}
+	c.smp = model.NewSampler(pl, pos, seed)
+	c.bounds, c.scaler = tech.ScaleBounds(), tech.SampleScaler()
 	c.alloc()
 	return c, nil
+}
+
+// SetDomains puts the chip's cells under domains (nil = all VddLow),
+// which must cover every cell, from the next Sample on. The chip reads
+// the slice, which must not change until the chip's Frame or Crit has
+// answered the sample.
+func (c *Chip) SetDomains(domains []cell.Domain) error {
+	if n := c.kern.NumCells(); domains != nil && len(domains) != n {
+		return flowerr.BadInputf("mc: domains length %d != %d cells", len(domains), n)
+	}
+	c.domains = domains
+	return nil
 }
 
 // Fork returns a Chip drawing the same chips with its own kernel,

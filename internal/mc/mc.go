@@ -110,7 +110,8 @@ type sampleBatch struct {
 	violators    [][]int32
 }
 
-// Run performs the Monte Carlo SSTA for a core placed at pos.
+// Run performs the Monte Carlo SSTA for a core placed at pos, under
+// opts.Domains: NewRunner followed by one Runner.Run.
 //
 // The run honors ctx: cancellation or deadline expiry stops dispatch
 // immediately and in-flight workers abandon their queues at the next
@@ -125,9 +126,31 @@ type sampleBatch struct {
 // Result.Skipped; beyond that Run fails with an error matching
 // flowerr.ErrWorkerPanic.
 func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos variation.Pos, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	r, err := NewRunner(a, model, pos, opts)
+	if err != nil {
+		return nil, err
 	}
+	return r.Run(ctx, opts.Domains)
+}
+
+// Runner holds the per-worker sample cores of a run at one position
+// (kernels, samplers over the position's systematic gate-length map,
+// buffers), so that the same sampled chips can be run again under
+// other supply domains: the island search scores every candidate slice
+// of an island this way. No chip outlives its run: each run draws,
+// bounds and times every sample afresh. A Runner is not safe for
+// concurrent use.
+type Runner struct {
+	pos   variation.Pos
+	opts  Options
+	chips []*Chip
+}
+
+// NewRunner builds the sample cores of a run at pos under opts: one
+// Chip per worker, all forked from one core before any of them draws,
+// so they share the position's systematic gate-length map and the
+// bracket tables. opts.Domains is not read; each Run names its own.
+func NewRunner(a *sta.Analyzer, model *variation.Model, pos variation.Pos, opts Options) (*Runner, error) {
 	if opts.Samples < 2 {
 		return nil, flowerr.BadInputf("mc: need at least 2 samples, got %d", opts.Samples)
 	}
@@ -138,20 +161,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	if workers > opts.Samples {
 		workers = opts.Samples
 	}
-
-	// The sample batch is the position's dominant cost: one span per
-	// mc.Run, annotated with the batch shape and, on completion, how
-	// many samples actually landed. Spans never touch artifact state.
-	ctx, span := obs.Start(ctx, "mc.samples")
-	defer span.End()
-	span.SetAttr("pos", pos.Name)
-	span.SetAttr("samples", opts.Samples)
-	span.SetAttr("workers", workers)
-
-	// One sample core per worker; the forks share the position's
-	// systematic gate-length map and the bracket tables. They are all
-	// forked before any worker draws.
-	core, err := NewChip(sta.NewKernel(a), a.PL, &a.NL.Lib.Tech, model, pos, opts.Seed, opts.ClockPS, opts.Derate, opts.Domains)
+	core, err := NewChip(sta.NewKernel(a), a.PL, &a.NL.Lib.Tech, model, pos, opts.Seed, opts.ClockPS, opts.Derate, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,6 +169,31 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	for len(chips) < workers {
 		chips = append(chips, core.Fork())
 	}
+	return &Runner{pos: pos, opts: opts, chips: chips}, nil
+}
+
+// Run runs the runner's samples with every cell under domains (nil =
+// all VddLow), which must cover every cell; it honors ctx and recovers
+// worker panics as the package-level Run does.
+func (r *Runner) Run(ctx context.Context, domains []cell.Domain) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for _, chip := range r.chips {
+		if err := chip.SetDomains(domains); err != nil {
+			return nil, err
+		}
+	}
+	pos, opts := r.pos, r.opts
+
+	// The sample batch is the position's dominant cost: one span per
+	// run, annotated with the batch shape and, on completion, how
+	// many samples actually landed. Spans never touch artifact state.
+	ctx, span := obs.Start(ctx, "mc.samples")
+	defer span.End()
+	span.SetAttr("pos", pos.Name)
+	span.SetAttr("samples", opts.Samples)
+	span.SetAttr("workers", len(r.chips))
 
 	// Per-sample outcomes live in flat structure-of-arrays storage —
 	// one slot per sample index, workers write disjoint slots — so the
@@ -180,7 +215,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 
 	var wg sync.WaitGroup
 	idx := make(chan int)
-	for _, chip := range chips {
+	for _, chip := range r.chips {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -203,6 +204,92 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		if r1.CritPS[i] != r8.CritPS[i] {
 			t.Fatalf("sample %d differs across worker counts", i)
 		}
+	}
+}
+
+// TestRunnerMatchesRun runs one runner's sample cores under half-die
+// high-Vdd domains, then all low, then the half-die domains again:
+// each result equals a fresh Run with those domains bit for bit, so
+// nothing of one run's chips leaks into the next. A domains vector of
+// the wrong length fails before any sample runs.
+func TestRunnerMatchesRun(t *testing.T) {
+	f := coreFixture(t)
+	pos := f.model.DiagonalPositions()[0]
+	half := make([]cell.Domain, f.a.NL.NumCells())
+	for i := range half {
+		if x, _ := f.a.PL.Center(i); x < f.a.PL.DieW/2 {
+			half[i] = cell.DomainHigh
+		}
+	}
+	var sampled atomic.Int32
+	opts := Options{Samples: 30, Seed: 5, ClockPS: f.clock, Derate: f.derate, Workers: 2,
+		hookSample: func(int) { sampled.Add(1) }}
+	r, err := NewRunner(f.a, &f.model, pos, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crit []float64
+	for i, domains := range [][]cell.Domain{half, nil, half} {
+		got, err := r.Run(context.Background(), domains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Domains = domains
+		want, err := Run(context.Background(), f.a, &f.model, pos, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, i, got, want)
+		crit = append(crit, got.CritPS[0])
+	}
+	if crit[0] == crit[1] {
+		t.Error("half-die high Vdd left the first chip's critical path unchanged")
+	}
+
+	sampled.Store(0)
+	if _, err := r.Run(context.Background(), half[1:]); !errors.Is(err, flowerr.ErrBadInput) {
+		t.Errorf("short domains: err = %v, want ErrBadInput", err)
+	}
+	if n := sampled.Load(); n != 0 {
+		t.Errorf("short domains: %d samples ran before the error", n)
+	}
+}
+
+// sameResult fails t unless two results hold the same bits in every
+// distribution the island search and the sensor plan read.
+func sameResult(t *testing.T, run int, got, want *Result) {
+	t.Helper()
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(got.CritPS, want.CritPS) {
+		t.Errorf("run %d: CritPS differs", run)
+	}
+	if len(got.PerStage) != len(want.PerStage) {
+		t.Errorf("run %d: %d stages, want %d", run, len(got.PerStage), len(want.PerStage))
+	}
+	for st, w := range want.PerStage {
+		g := got.PerStage[st]
+		if g == nil || !same(g.SlackPS, w.SlackPS) || !same([]float64{g.Fit.Mu, g.Fit.Sigma}, []float64{w.Fit.Mu, w.Fit.Sigma}) {
+			t.Errorf("run %d: stage %v distribution differs", run, st)
+		}
+		if !maps.Equal(got.StageCriticals[st], want.StageCriticals[st]) {
+			t.Errorf("run %d: stage %v criticals differ", run, st)
+		}
+	}
+	if !maps.Equal(got.EndpointViolations, want.EndpointViolations) {
+		t.Errorf("run %d: endpoint violations differ", run)
+	}
+	if len(got.EndpointViolations) == 0 {
+		t.Errorf("run %d: no endpoint violated, the violation counts went unchecked", run)
 	}
 }
 

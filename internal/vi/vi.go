@@ -212,11 +212,11 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		p.StartSide = pickStartSide(pl, opts.Strategy)
 	}
 
-	// axisPos returns each cell's growth-axis coordinate, measured
-	// from the start side (or corner). For the Corner strategy the
-	// axis is the Chebyshev distance from the corner in normalized
-	// die coordinates, scaled back to microns of the larger die
-	// edge, so nested thresholds carve square boxes.
+	// axis holds each cell's growth-axis coordinate, measured from the
+	// start side (or corner). For the Corner strategy the axis is the
+	// Chebyshev distance from the corner in normalized die coordinates,
+	// scaled back to microns of the larger die edge, so nested
+	// thresholds carve square boxes.
 	extent := pl.DieW
 	switch opts.Strategy {
 	case Horizontal:
@@ -224,15 +224,15 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 	case Corner:
 		extent = math.Max(pl.DieW, pl.DieH)
 	}
-	axisPos := func(i int) float64 {
+	axis := make([]float64, nl.NumCells())
+	for i := range axis {
 		x, y := pl.Center(i)
 		switch opts.Strategy {
 		case Horizontal:
-			v := y
+			axis[i] = y
 			if p.StartSide == Top {
-				v = extent - v
+				axis[i] = extent - y
 			}
-			return v
 		case Corner:
 			nx := x / pl.DieW
 			ny := y / pl.DieH
@@ -242,35 +242,29 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 			if p.StartSide == TopLeft || p.StartSide == TopRight {
 				ny = 1 - ny
 			}
-			return math.Max(nx, ny) * extent
+			axis[i] = math.Max(nx, ny) * extent
 		default:
-			v := x
+			axis[i] = x
 			if p.StartSide == Right {
-				v = extent - v
+				axis[i] = extent - x
 			}
-			return v
 		}
 	}
 
 	// meets reports whether powering all cells within frac of the
-	// start side at high Vdd compensates the worst-case violation at
-	// pos: the fitted slack distribution must clear zero by
-	// yieldSigma sigmas.
-	meets := func(ctx context.Context, frac float64, pos variation.Pos) (bool, error) {
-		domains := make([]cell.Domain, nl.NumCells())
+	// start side at high Vdd compensates the worst-case violation that
+	// run samples: the fitted slack distribution must clear zero by
+	// yieldSigma sigmas. Every check rewrites the one domains vector.
+	domains := make([]cell.Domain, nl.NumCells())
+	meets := func(ctx context.Context, run *mc.Runner, frac float64) (bool, error) {
 		bound := frac * extent
-		for i := range domains {
-			if axisPos(i) <= bound {
+		for i, v := range axis {
+			domains[i] = cell.DomainLow
+			if v <= bound {
 				domains[i] = cell.DomainHigh
 			}
 		}
-		res, err := mc.Run(ctx, a, model, pos, mc.Options{
-			Samples: opts.Samples,
-			Seed:    opts.Seed,
-			ClockPS: opts.ClockPS,
-			Derate:  opts.Derate,
-			Domains: domains,
-		})
+		res, err := run.Run(ctx, domains)
 		if err != nil {
 			return false, err
 		}
@@ -285,35 +279,34 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 		return worst >= 0, nil
 	}
 
-	prevFrac := 0.0
-	for k, pos := range scenarioPos {
-		// Binary search the smallest boundary fraction (not below
-		// the previous island's bound) that compensates scenario
-		// k+1; the speed-up grows monotonically with the slice. One
-		// span per slicing pass; the per-check mc.Run spans nest
-		// under it through islandCtx.
-		islandCtx, span := obs.Start(ctx, fmt.Sprintf("vi.island/%d", k+1))
+	// search binary searches the smallest boundary fraction, not below
+	// lo, that compensates scenario k+1 at pos, scoring every candidate
+	// on one runner's sampled chips. A wider slice speeds more cells
+	// up, so the search takes maxFrac as its upper end unchecked and
+	// checks it only when every midpoint failed, the one case in which
+	// it returns maxFrac. One span per slicing pass; the per-check
+	// mc.samples spans nest under it.
+	search := func(k int, pos variation.Pos, lo float64) (float64, error) {
+		ctx, span := obs.Start(ctx, fmt.Sprintf("vi.island/%d", k+1))
+		defer span.End()
 		span.SetAttr("strategy", opts.Strategy)
 		span.SetAttr("pos", pos.Name)
-		lo, hi := prevFrac, maxFrac
-		ok, err := meets(islandCtx, hi, pos)
-		checks := 1
+		run, err := mc.NewRunner(a, model, pos, mc.Options{
+			Samples: opts.Samples,
+			Seed:    opts.Seed,
+			ClockPS: opts.ClockPS,
+			Derate:  opts.Derate,
+		})
 		if err != nil {
-			span.End()
-			return nil, err
+			return 0, err
 		}
-		if !ok {
-			span.End()
-			return nil, flowerr.BadInputf("vi: %s slicing cannot compensate scenario %d (position %s) even at %.0f%% high-Vdd",
-				opts.Strategy, k+1, pos.Name, 100*maxFrac)
-		}
+		hi, checks := maxFrac, 0
 		for hi-lo > granularity {
 			mid := (lo + hi) / 2
-			ok, err := meets(islandCtx, mid, pos)
+			ok, err := meets(ctx, run, mid)
 			checks++
 			if err != nil {
-				span.End()
-				return nil, err
+				return 0, err
 			}
 			if ok {
 				hi = mid
@@ -321,15 +314,33 @@ func Generate(ctx context.Context, a *sta.Analyzer, model *variation.Model, scen
 				lo = mid
 			}
 		}
-		frac := hi
+		if hi == maxFrac {
+			ok, err := meets(ctx, run, hi)
+			checks++
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				return 0, flowerr.BadInputf("vi: %s slicing cannot compensate scenario %d (position %s) even at %.0f%% high-Vdd",
+					opts.Strategy, k+1, pos.Name, 100*maxFrac)
+			}
+		}
 		span.SetAttr("checks", checks)
-		span.SetAttr("frac", strconv.FormatFloat(frac, 'f', 4, 64))
-		span.End()
+		span.SetAttr("frac", strconv.FormatFloat(hi, 'f', 4, 64))
+		return hi, nil
+	}
+
+	prevFrac := 0.0
+	for k, pos := range scenarioPos {
+		frac, err := search(k, pos, prevFrac)
+		if err != nil {
+			return nil, err
+		}
 		isl := Island{Index: k + 1, FromUM: prevFrac * extent, ToUM: frac * extent}
 		bound := frac * extent
 		prevBound := prevFrac * extent
-		for i := 0; i < nl.NumCells(); i++ {
-			if v := axisPos(i); v > prevBound && v <= bound {
+		for i, v := range axis {
+			if v > prevBound && v <= bound {
 				isl.Cells = append(isl.Cells, i)
 				p.Region[i] = int32(k + 1)
 			}

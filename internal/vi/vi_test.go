@@ -2,12 +2,17 @@ package vi
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/flowerr"
 	"vipipe/internal/mc"
 	"vipipe/internal/netlist"
+	"vipipe/internal/obs"
 	"vipipe/internal/place"
 	"vipipe/internal/sta"
 	"vipipe/internal/variation"
@@ -23,7 +28,7 @@ type fixture struct {
 	clock  float64
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	core, err := vex.Build(vex.SmallConfig(), cell.Default65nm())
 	if err != nil {
@@ -51,9 +56,13 @@ func (f *fixture) scenarioPositions() []variation.Pos {
 	return []variation.Pos{ps[2], ps[1], ps[0]}
 }
 
-func (f *fixture) generate(t *testing.T, strat Strategy) *Partition {
+func (f *fixture) generate(t testing.TB, strat Strategy) *Partition {
+	return f.generateCtx(context.Background(), t, strat)
+}
+
+func (f *fixture) generateCtx(ctx context.Context, t testing.TB, strat Strategy) *Partition {
 	t.Helper()
-	p, err := Generate(context.Background(), f.a, &f.model, f.scenarioPositions(), Options{
+	p, err := Generate(ctx, f.a, &f.model, f.scenarioPositions(), Options{
 		Strategy: strat,
 		ClockPS:  f.clock,
 		Derate:   f.derate,
@@ -73,6 +82,65 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(context.Background(), f.a, &f.model, f.scenarioPositions(), Options{}); err == nil {
 		t.Error("zero clock accepted")
+	}
+}
+
+// TestGenerateInfeasible pins the search's failure when even the whole
+// core at high Vdd cannot meet the clock: half the fixture's period is
+// out of any slice's reach.
+func TestGenerateInfeasible(t *testing.T) {
+	f := newFixture(t)
+	_, err := Generate(context.Background(), f.a, &f.model, f.scenarioPositions(), Options{
+		Strategy: Vertical, ClockPS: f.clock / 2, Derate: f.derate, Samples: 20, Seed: 9,
+	})
+	if !errors.Is(err, flowerr.ErrBadInput) {
+		t.Fatalf("err = %v, want ErrBadInput", err)
+	}
+	if !strings.Contains(err.Error(), "even at 100% high-Vdd") {
+		t.Errorf("err = %q, want it to name the 100%% high-Vdd check", err)
+	}
+}
+
+// errAfterCtx is a context that is cancelled from the (after+1)th
+// call of its Err on, so a test can cancel at a chosen point of a run
+// without a hook inside it.
+type errAfterCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+	once  sync.Once
+	done  chan struct{}
+}
+
+func (c *errAfterCtx) Done() <-chan struct{} { return c.done }
+
+func (c *errAfterCtx) Err() error {
+	if c.calls.Add(1) <= c.after {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// TestGenerateCancelled cancels the search after its first check: a
+// Monte Carlo check asks its context's Err once per sample and once
+// more before it folds, so the context flips on the second check's
+// first sample.
+func TestGenerateCancelled(t *testing.T) {
+	f := newFixture(t)
+	const samples = 20
+	ctx := &errAfterCtx{Context: context.Background(), after: samples + 1, done: make(chan struct{})}
+	p, err := Generate(ctx, f.a, &f.model, f.scenarioPositions(), Options{
+		Strategy: Vertical, ClockPS: f.clock, Derate: f.derate, Samples: samples, Seed: 9,
+	})
+	if !errors.Is(err, flowerr.ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if p != nil {
+		t.Errorf("cancelled search returned a partition with %d islands", p.NumIslands())
+	}
+	if n := ctx.calls.Load(); n <= samples+1 {
+		t.Errorf("context asked %d times, want the cancellation to land after the first check", n)
 	}
 }
 
@@ -438,4 +506,33 @@ func TestRenderFloorplan(t *testing.T) {
 	if len(out2) <= len("header") {
 		t.Error("render empty after insertion")
 	}
+}
+
+// BenchmarkGenerate times the island search of both slicing strategies
+// on the small core, as the flow runs it: three nested islands at C, B
+// and A, 40 samples per compensation check. checks/op counts the
+// Monte Carlo checks, read once from a traced call (the search is
+// deterministic).
+func BenchmarkGenerate(b *testing.B) {
+	f := newFixture(b)
+	strategies := []Strategy{Vertical, Horizontal}
+	tr := obs.NewTracer("bench", "vi-generate")
+	ctx := obs.WithTracer(context.Background(), tr)
+	for _, s := range strategies {
+		f.generateCtx(ctx, b, s)
+	}
+	checks := 0
+	for _, sp := range tr.Finish().Spans {
+		if sp.Name == "mc.samples" {
+			checks++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range strategies {
+			f.generate(b, s)
+		}
+	}
+	b.ReportMetric(float64(checks), "checks/op")
 }
