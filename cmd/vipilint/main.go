@@ -4,19 +4,16 @@
 //
 //	vipilint [flags] [root]
 //
-// root defaults to the current directory. By default the full typed
-// analysis runs: the tree is loaded under go/types and the typed-only
-// rules (artifactalias, sharedcapture, deadcode) join the upgraded
-// core rules.
-// -fast skips type checking and runs the AST layer only — the
-// pre-commit mode, an order of magnitude cheaper; do not combine it
-// with -strict, because suppressions of typed-only findings look
-// stale to the AST layer.
+// root defaults to the current directory. The tree is loaded under
+// go/types and every rule runs over the packages that type-check; a
+// package that does not is one finding. -strict also reports stale
+// //lint:ignore directives.
 //
 // Exit codes follow the flowerr convention: 0 when the tree is clean,
 // the ErrDRC code when findings remain (lint findings are design-rule
 // violations on the source), and the ErrBadInput code when the driver
-// itself fails (unreadable root, unparsable source).
+// itself fails (unreadable root, unparsable source, a `go list` of the
+// standard-library imports that cannot run).
 package main
 
 import (
@@ -34,7 +31,6 @@ func main() {
 	app := cliutil.New("vipilint")
 	app.JSONFlag()
 	strict := flag.Bool("strict", false, "also report stale //lint:ignore directives that suppress nothing")
-	fast := flag.Bool("fast", false, "AST-only mode: skip go/types loading and the dataflow rules (pre-commit speed)")
 	rules := flag.Bool("rules", false, "list the rules and exit")
 	flag.Parse()
 
@@ -49,7 +45,7 @@ func main() {
 	if flag.NArg() > 0 {
 		root = flag.Arg(0)
 	}
-	diags, err := lint.Run(root, lint.Options{Strict: *strict, Typed: !*fast})
+	diags, err := lint.Run(root, lint.Options{Strict: *strict})
 	if err != nil {
 		app.Fatal(err)
 	}

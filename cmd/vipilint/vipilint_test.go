@@ -91,8 +91,8 @@ func TestExitCodes(t *testing.T) {
 }
 
 // poisonTree is a minimal module that type-checks cleanly and
-// contains one cache-poisoning bug only the typed layer can see: a
-// compute function mutating its deps slice in place.
+// contains one cache-poisoning bug only the dataflow analysis can see:
+// a compute function mutating its deps slice in place.
 var poisonTree = map[string]string{
 	"go.mod": "module vipipe\n\ngo 1.22\n",
 	"internal/pipeline/pipeline.go": `package pipeline
@@ -136,8 +136,8 @@ func Register(g *pipeline.Graph) {
 }
 
 // TestTypedRules drives the artifact-ownership analysis through the
-// built binary: the default (typed) mode catches the in-place sort of
-// a dep and exits ExitDRC; -fast cannot see it and exits clean.
+// built binary: it catches the in-place sort of a dep and exits
+// ExitDRC.
 func TestTypedRules(t *testing.T) {
 	bin := buildLint(t)
 
@@ -148,11 +148,6 @@ func TestTypedRules(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "artifactalias") || !strings.Contains(string(out), "sort.Float64s") {
 		t.Errorf("typed run output missing the artifactalias finding:\n%s", out)
-	}
-
-	out, err = exec.Command(bin, "-fast", root).CombinedOutput()
-	if code := exitCode(t, err); code != flowerr.ExitOK {
-		t.Errorf("-fast run: exit %d, want 0 (typed-only finding must stay silent)\n%s", code, out)
 	}
 }
 
@@ -177,33 +172,56 @@ func TestTypedJSON(t *testing.T) {
 	}
 }
 
-// TestBrokenPackageFallback checks the degraded path: a package that
-// does not type-check surfaces as a `lint` diagnostic and its files
-// still get the AST rules.
-func TestBrokenPackageFallback(t *testing.T) {
+// TestBrokenPackage checks the degraded path under -strict: a package
+// that does not type-check is one `lint` diagnostic, no rule runs on
+// its files, and so none of their directives is stale.
+func TestBrokenPackage(t *testing.T) {
 	bin := buildLint(t)
 
 	root := writeTree(t, map[string]string{
 		"go.mod": "module vipipe\n\ngo 1.22\n",
 		"internal/mc/bad.go": `package mc
 
-import "time"
-
-func Stamp() time.Time { return time.Now() }
-
-func Broken() NoSuchType { return nil }
+//lint:ignore deadcode kept for a test
+func Kept() int { return undefinedName }
 `,
 	})
-	out, err := exec.Command(bin, root).CombinedOutput()
+	out, err := exec.Command(bin, "-strict", "-json", root).Output()
 	if code := exitCode(t, err); code != flowerr.ExitDRC {
-		t.Errorf("broken package: exit %d, want %d\n%s", code, flowerr.ExitDRC, out)
+		t.Fatalf("broken package: exit %d, want %d\n%s", code, flowerr.ExitDRC, out)
 	}
-	s := string(out)
-	if !strings.Contains(s, "does not type-check") {
-		t.Errorf("missing load-error diagnostic:\n%s", s)
+	var diags []lint.Diagnostic
+	if err := json.Unmarshal(out, &diags); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, out)
 	}
-	if !strings.Contains(s, "determinism") {
-		t.Errorf("AST fallback did not run over the broken package:\n%s", s)
+	if len(diags) != 1 || diags[0].Rule != "lint" || !strings.Contains(diags[0].Msg, "does not type-check") {
+		t.Errorf("want exactly the type-check finding, got %+v", diags)
+	}
+}
+
+// TestBrokenToolchain checks that a `go list` which cannot run is a
+// driver failure, not a finding in every package: with GOROOT an empty
+// directory the run exits ExitBadInput naming the command. A tree with
+// no standard-library imports runs no go list and stays clean.
+func TestBrokenToolchain(t *testing.T) {
+	bin := buildLint(t)
+
+	run := func(root string) ([]byte, error) {
+		cmd := exec.Command(bin, root)
+		cmd.Env = append(os.Environ(), "GOROOT="+t.TempDir())
+		return cmd.CombinedOutput()
+	}
+	out, err := run(writeTree(t, map[string]string{"internal/mc/bad.go": dirtyFile}))
+	if code := exitCode(t, err); code != flowerr.ExitBadInput {
+		t.Errorf("empty GOROOT: exit %d, want %d (ExitBadInput)\n%s", code, flowerr.ExitBadInput, out)
+	}
+	if !strings.Contains(string(out), "go list") || strings.Contains(string(out), "does not type-check") {
+		t.Errorf("want one driver error naming go list:\n%s", out)
+	}
+
+	out, err = run(writeTree(t, map[string]string{"internal/mc/ok.go": "package mc\n"}))
+	if code := exitCode(t, err); code != flowerr.ExitOK {
+		t.Errorf("no std imports under an empty GOROOT: exit %d, want 0\n%s", code, out)
 	}
 }
 

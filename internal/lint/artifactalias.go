@@ -21,10 +21,6 @@ import (
 // parameter. The second half checks the producer side: a compute
 // function must not publish a captured scratch buffer it also
 // mutates, or the next run will silently rewrite the cached bytes.
-//
-// The rule is typed-only: without go/types it stays silent (-fast
-// mode), so its suppressions are judged stale only by the full
-// analysis.
 type artifactAliasRule struct{}
 
 // artifactBit is the seed bit marking artifact-aliasing values in the
@@ -36,10 +32,7 @@ func (artifactAliasRule) Doc() string {
 	return "published artifacts (Store.Do / Graph.Request results, compute deps) are frozen: no writes through them, and compute funcs must not publish mutated scratch buffers"
 }
 
-// Check is the AST-mode stub: aliasing cannot be seen without types.
-func (artifactAliasRule) Check(f *File, report ReportFunc) {}
-
-func (artifactAliasRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (artifactAliasRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {

@@ -22,9 +22,9 @@ import (
 // A //lint:ignore deadcode <reason> on a declaration suppresses its
 // finding and roots it, so a kept test-support entry point costs one
 // directive, not one per helper; the directive goes stale once
-// anything else reaches the declaration. The rule is typed-only, and
-// silent while a package fails to type-check, since it cannot see
-// that package's uses.
+// anything else reaches the declaration. The rule is silent while any
+// package fails to type-check, since it cannot see that package's
+// uses.
 type deadcodeRule struct{}
 
 func (deadcodeRule) Name() string { return "deadcode" }
@@ -32,10 +32,7 @@ func (deadcodeRule) Doc() string {
 	return "every function and method is reached from a main, an init, a package-level initializer, the root package's exported API or the paper harness; //lint:ignore deadcode roots a kept entry point"
 }
 
-// Check is the AST-mode stub: reachability needs the whole typed program.
-func (deadcodeRule) Check(f *File, report ReportFunc) {}
-
-func (deadcodeRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (deadcodeRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if prog.dead == nil {
 		prog.dead = unreached(prog)
 	}

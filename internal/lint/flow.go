@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// This file is the dataflow half of the typed layer: a per-function
+// This file is the dataflow half of the loaded program: a per-function
 // may-alias analysis plus lightweight interprocedural summaries.
 //
 // The analysis tracks, for every local variable of a function, two

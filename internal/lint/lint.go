@@ -1,9 +1,10 @@
 // Package lint is the repo's stdlib-only static-analysis framework:
-// it parses every package in the tree with go/parser and runs
-// project-specific rules that enforce the invariants no compiler
-// checks — artifact determinism (content-addressed caches and the
-// equivalence suite depend on bit-identical recomputation), the
-// flowerr error taxonomy, context plumbing, and goroutine hygiene.
+// it type-checks every package in the tree and runs project-specific
+// rules that enforce the invariants no compiler checks — artifact
+// determinism (content-addressed caches and the equivalence suite
+// depend on bit-identical recomputation), the flowerr error taxonomy,
+// context plumbing, goroutine hygiene, artifact ownership and least
+// code.
 //
 // Findings can be suppressed in source with a directive comment
 //
@@ -14,22 +15,19 @@
 // missing reason is itself a finding; in strict mode a directive that
 // suppresses nothing (stale after a refactor) is reported too.
 //
-// The framework has two layers, both standard-library only. The AST
-// layer (go/parser + go/ast) resolves what it can from a single file
-// — import names, local declarations, lexical scope — and stays
-// silent where it cannot prove a violation; it is what -fast mode
-// runs, cheap enough for a pre-commit hook. The typed layer loads the
-// whole module with go/types in dependency order (stdlib imports come
-// from the compiler's export data via importer.Default — still no
-// external dependencies) and feeds a per-function dataflow pass with
-// lightweight interprocedural summaries: which parameters a function
-// writes through, which results alias which parameters. Rules that
-// implement TypedRule upgrade from name-matching heuristics to real
-// type resolution, and three rules exist only in this layer:
-// artifactalias (writes through published artifacts, compute
-// functions leaking mutated scratch buffers), sharedcapture
-// (goroutine closures writing captured state without proof of
-// confinement) and deadcode (functions no entry point reaches).
+// There is one layer, standard-library only: go/parser reads the tree,
+// go/types checks the module's packages in dependency order (standard
+// library imports come from the compiler's export data, which one
+// `go list -export` per run locates) and a per-function dataflow pass
+// builds lightweight interprocedural summaries: which parameters a
+// function writes through, which results alias which parameters. Every
+// rule resolves callees, map types and context parameters through
+// go/types, and three rest on the program as a whole: artifactalias
+// (writes through published artifacts, compute functions leaking
+// mutated scratch buffers), sharedcapture (goroutine closures writing
+// captured state without proof of confinement) and deadcode (functions
+// no entry point reaches). A package that does not type-check is
+// reported once, and no rule runs on its files.
 package lint
 
 import (
@@ -79,18 +77,9 @@ type Rule interface {
 	Name() string
 	// Doc is a one-line description for -rules output.
 	Doc() string
-	// Check inspects a file and reports findings.
-	Check(f *File, report ReportFunc)
-}
-
-// TypedRule is implemented by rules that upgrade to type-aware
-// checking when the typed layer is loaded. In typed mode CheckTyped
-// replaces Check for every file whose package type-checked cleanly;
-// files of broken packages fall back to the AST Check. Typed-only
-// rules (artifactalias, sharedcapture, deadcode) make Check a no-op.
-type TypedRule interface {
-	Rule
-	CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc)
+	// Check inspects one file of a package that type-checked and
+	// reports findings.
+	Check(prog *Program, pkg *Pkg, f *File, report ReportFunc)
 }
 
 // Options configures a Run.
@@ -98,14 +87,10 @@ type Options struct {
 	// Rules to apply; nil means DefaultRules().
 	Rules []Rule
 	// Strict additionally reports //lint:ignore directives that
-	// suppressed nothing.
+	// suppressed nothing. It judges them only when every package
+	// type-checks: no rule runs on a broken package, and deadcode,
+	// which needs the whole program, runs on none.
 	Strict bool
-	// Typed loads the module under go/types and runs the typed layer:
-	// upgraded versions of the core rules plus the typed-only rules
-	// (artifactalias, sharedcapture, deadcode). Without it the run is
-	// AST-only (-fast), and typed-only rules stay silent — so judge stale
-	// suppressions (Strict) only with Typed on.
-	Typed bool
 }
 
 // ignoreRule is the pseudo-rule name under which directive problems
@@ -125,8 +110,8 @@ type ignore struct {
 // diagnostics sorted by position. Directories named testdata, vendor
 // or starting with "." are skipped, as are _test.go files (tests
 // legitimately use wall clocks, ad-hoc errors and bare goroutines).
-// Errors — unreadable root, unparsable source — match
-// flowerr.ErrBadInput.
+// Errors — unreadable root, unparsable source, a `go list` that cannot
+// run — match flowerr.ErrBadInput.
 func Run(root string, opts Options) ([]Diagnostic, error) {
 	rules := opts.Rules
 	if rules == nil {
@@ -186,41 +171,40 @@ func Run(root string, opts Options) ([]Diagnostic, error) {
 		files = append(files, &File{Fset: fset, AST: astf, Src: src, Rel: rel, Dir: dir})
 	}
 
-	// The typed layer loads the whole tree before any rule runs, so
-	// summaries and project types are available to every file. A
-	// package that fails to type-check surfaces as a diagnostic and
-	// its files fall back to the AST rules.
-	var prog *Program
-	if opts.Typed {
-		prog = loadProgram(root, fset, files)
-		for _, p := range prog.Pkgs {
-			if p.Complete || p.LoadErr == nil {
-				continue
-			}
-			line, col, rel := 1, 1, p.Files[0].Rel
-			if te, ok := p.LoadErr.(types.Error); ok && te.Pos.IsValid() {
-				pos := fset.Position(te.Pos)
-				if r, err := filepath.Rel(root, pos.Filename); err == nil {
-					rel = filepath.ToSlash(r)
-				}
-				line, col = pos.Line, pos.Column
-			}
-			diags = append(diags, Diagnostic{
-				File: rel, Line: line, Col: col, Rule: ignoreRule,
-				Msg: fmt.Sprintf("package %s does not type-check (typed rules skipped): %v", p.Path, p.LoadErr),
-			})
+	// The whole tree loads before any rule runs, so summaries and
+	// project types are available to every file. A package that fails
+	// to type-check surfaces as one diagnostic and its files are not
+	// linted.
+	prog, err := loadProgram(root, fset, files)
+	if err != nil {
+		return nil, err
+	}
+	complete := true
+	for _, p := range prog.Pkgs {
+		if p.Complete {
+			continue
 		}
+		complete = false
+		line, col, rel := 1, 1, p.Files[0].Rel
+		if te, ok := p.LoadErr.(types.Error); ok && te.Pos.IsValid() {
+			pos := fset.Position(te.Pos)
+			if r, err := filepath.Rel(root, pos.Filename); err == nil {
+				rel = filepath.ToSlash(r)
+			}
+			line, col = pos.Line, pos.Column
+		}
+		diags = append(diags, Diagnostic{
+			File: rel, Line: line, Col: col, Rule: ignoreRule,
+			Msg: fmt.Sprintf("package %s does not type-check (its files are not linted): %v", p.Path, p.LoadErr),
+		})
 	}
 
 	for _, f := range files {
 		ignores, dirDiags := parseIgnores(f, known)
 		diags = append(diags, dirDiags...)
-
-		var pkg *Pkg
-		if prog != nil {
-			if p := prog.ByDir[f.Dir]; p != nil && p.Complete {
-				pkg = p
-			}
+		pkg := prog.ByDir[f.Dir]
+		if !pkg.Complete {
+			continue
 		}
 		var raw []Diagnostic
 		for _, r := range rules {
@@ -232,11 +216,7 @@ func Run(root string, opts Options) ([]Diagnostic, error) {
 					Rule: rule, Msg: fmt.Sprintf(format, args...),
 				})
 			}
-			if tr, ok := r.(TypedRule); ok && pkg != nil {
-				tr.CheckTyped(prog, pkg, f, report)
-				continue
-			}
-			r.Check(f, report)
+			r.Check(prog, pkg, f, report)
 		}
 		for _, d := range raw {
 			if suppressed(ignores, d) {
@@ -251,7 +231,7 @@ func Run(root string, opts Options) ([]Diagnostic, error) {
 			}
 		}
 	}
-	if opts.Strict {
+	if opts.Strict && complete {
 		for _, ig := range stale {
 			p := fset.Position(ig.pos)
 			diags = append(diags, Diagnostic{

@@ -84,7 +84,7 @@ func TestFsConfineCorpus(t *testing.T) {
 // in-place append and via a summarized callee), retained scratch
 // buffers — and the clone/fresh-buffer idioms that must stay silent.
 func TestArtifactAliasCorpus(t *testing.T) {
-	got := runCorpus(t, "artifactalias", Options{Rules: []Rule{artifactAliasRule{}}, Typed: true})
+	got := runCorpus(t, "artifactalias", Options{Rules: []Rule{artifactAliasRule{}}})
 	checkGolden(t, "artifactalias", "want.txt", got)
 	for _, frag := range []string{"bad.go:19", "bad.go:30", "bad.go:43", "bad.go:65", "bad.go:77"} {
 		if !strings.Contains(got, frag) {
@@ -98,20 +98,11 @@ func TestArtifactAliasCorpus(t *testing.T) {
 	}
 }
 
-// TestArtifactAliasFastSilent pins the -fast contract: without the
-// typed layer the rule reports nothing, even over the bad corpus.
-func TestArtifactAliasFastSilent(t *testing.T) {
-	got := runCorpus(t, "artifactalias", Options{Rules: []Rule{artifactAliasRule{}}})
-	if got != "" {
-		t.Errorf("artifactalias reported in AST-only mode:\n%s", got)
-	}
-}
-
 // TestSharedCaptureCorpus covers the goroutine-closure write rule:
 // unsynchronized captured writes are findings; per-slot index writes,
 // mutex windows (inline and deferred) and channel handoffs are not.
 func TestSharedCaptureCorpus(t *testing.T) {
-	got := runCorpus(t, "sharedcapture", Options{Rules: []Rule{sharedCaptureRule{}}, Typed: true})
+	got := runCorpus(t, "sharedcapture", Options{Rules: []Rule{sharedCaptureRule{}}})
 	checkGolden(t, "sharedcapture", "want.txt", got)
 	for _, frag := range []string{"bad.go:16", "bad.go:33", "bad.go:50"} {
 		if !strings.Contains(got, frag) {
@@ -133,7 +124,7 @@ func TestSharedCaptureCorpus(t *testing.T) {
 // generic instance or a keep-directive reaches is not. A directive on
 // reached code is stale.
 func TestDeadcodeCorpus(t *testing.T) {
-	got := runCorpus(t, "deadcode", Options{Rules: []Rule{deadcodeRule{}}, Typed: true, Strict: true})
+	got := runCorpus(t, "deadcode", Options{Rules: []Rule{deadcodeRule{}}, Strict: true})
 	checkGolden(t, "deadcode", "want.txt", got)
 	for _, name := range []string{"x.Unreached is", "x.TestOnly is", "x.Temp).Unused is", "x.Square).Perimeter is", "x.Box[V]).Put is", "stale //lint:ignore deadcode"} {
 		if !strings.Contains(got, name) {
@@ -144,9 +135,6 @@ func TestDeadcodeCorpus(t *testing.T) {
 		if strings.Contains(got, "."+live+" is unreached") {
 			t.Errorf("reached function %s reported:\n%s", live, got)
 		}
-	}
-	if fast := runCorpus(t, "deadcode", Options{Rules: []Rule{deadcodeRule{}}}); fast != "" {
-		t.Errorf("deadcode reported in AST-only mode:\n%s", fast)
 	}
 }
 
@@ -182,6 +170,13 @@ func TestSuppressStrict(t *testing.T) {
 	}
 }
 
+// TestBadImportCorpus checks that an import no package provides fails
+// only the package that makes it: the other still gets its findings.
+func TestBadImportCorpus(t *testing.T) {
+	got := runCorpus(t, "badimport", Options{Strict: true})
+	checkGolden(t, "badimport", "want.txt", got)
+}
+
 func TestRunBadRoot(t *testing.T) {
 	_, err := Run(filepath.Join("testdata", "no-such-tree"), Options{})
 	if !errors.Is(err, flowerr.ErrBadInput) {
@@ -189,12 +184,11 @@ func TestRunBadRoot(t *testing.T) {
 	}
 }
 
-// TestLintSelf holds the repo to its own rules under the full typed
-// analysis: a plain `go test ./...` fails if a violation (or a stale
-// suppression) creeps in, even when nobody runs `make ci`. Strict
-// staleness is judged here, where every rule can fire.
+// TestLintSelf holds the repo to its own rules: a plain `go test ./...`
+// fails if a violation (or a stale suppression) creeps in, even when
+// nobody runs `make ci`.
 func TestLintSelf(t *testing.T) {
-	diags, err := Run(filepath.Join("..", ".."), Options{Strict: true, Typed: true})
+	diags, err := Run(filepath.Join("..", ".."), Options{Strict: true})
 	if err != nil {
 		t.Fatalf("Run(repo root): %v", err)
 	}
@@ -203,21 +197,5 @@ func TestLintSelf(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Fatalf("%d lint finding(s) in the tree; fix them or add //lint:ignore <rule> <reason>", len(diags))
-	}
-}
-
-// TestLintSelfFast keeps the pre-commit mode honest: the AST layer
-// alone must also pass (without strict — suppressions of typed-only
-// findings look stale to it by design).
-func TestLintSelfFast(t *testing.T) {
-	diags, err := Run(filepath.Join("..", ".."), Options{})
-	if err != nil {
-		t.Fatalf("Run(repo root): %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
-	if len(diags) > 0 {
-		t.Fatalf("%d fast-mode lint finding(s) in the tree", len(diags))
 	}
 }

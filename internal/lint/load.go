@@ -1,24 +1,30 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"vipipe/internal/flowerr"
 )
 
-// Program is the typed layer over one lint tree: every package of the
+// Program is one lint tree loaded for the rules: every package of the
 // walked module type-checked in dependency order, plus the dataflow
-// summaries the typed rules consult. It is built entirely from the
-// standard library — go/parser for syntax, go/types for checking, and
-// importer.Default for the export data of standard-library imports —
-// so the linter stays free of external dependencies.
+// summaries the rules consult. It is built entirely from the standard
+// library — go/parser for syntax, go/types for checking, and the gc
+// importer over the export data `go list` locates for standard-library
+// imports — so the linter stays free of external dependencies.
 type Program struct {
 	Fset   *token.FileSet
 	Module string // module path from go.mod ("lintroot" when absent)
@@ -47,7 +53,7 @@ type Pkg struct {
 	Files    []*File
 	Types    *types.Package
 	Info     *types.Info
-	Complete bool  // type-checked without errors; typed rules require it
+	Complete bool  // type-checked without errors; rules run only then
 	LoadErr  error // first type error when !Complete
 
 	// Harness is the root package's paper harness (harnessFile),
@@ -75,9 +81,9 @@ func (p *Pkg) asts() []*ast.File {
 
 // moduleOf reads the module path out of root/go.mod with a minimal
 // hand parse (the directive grammar is a single token). A missing or
-// unreadable go.mod yields "lintroot": module-internal imports then
-// never resolve, the typed rules see no project types, and the AST
-// layer carries the run.
+// unreadable go.mod yields "lintroot": the tree's packages then
+// resolve only as lintroot/<dir>, and a package importing one under
+// another path fails to type-check.
 func moduleOf(root string) string {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -98,8 +104,8 @@ func moduleOf(root string) string {
 // progImporter resolves imports during type checking: module-internal
 // paths come from the packages the loader has already checked
 // (dependency order guarantees they exist by the time they are
-// asked for), everything else falls back to the compiler's export
-// data via importer.Default.
+// asked for), everything else from the standard library's export
+// data.
 type progImporter struct {
 	prog *Program
 	std  types.Importer
@@ -128,12 +134,12 @@ func (p *Program) dirOf(path string) (string, bool) {
 	return "", false
 }
 
-// loadProgram builds the typed layer over already-parsed files. It
-// never fails hard: a package that does not type-check is carried
-// with Complete=false (its first error surfaces as a diagnostic and
-// its files fall back to the AST rules), so one broken corner cannot
-// blind the linter to the rest of the tree.
-func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
+// loadProgram type-checks already-parsed files. A package that does
+// not type-check is carried with Complete=false (its first error
+// surfaces as a diagnostic and its files are not linted), so one
+// broken corner cannot blind the linter to the rest of the tree. The
+// only error is a driver failure: a `go list` that cannot run.
+func loadProgram(root string, fset *token.FileSet, files []*File) (*Program, error) {
 	prog := &Program{
 		Fset:   fset,
 		Module: moduleOf(root),
@@ -170,6 +176,7 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 	}
 	sort.Strings(dirs)
 	visited := make(map[string]bool, len(dirs))
+	std := make(map[string]bool)
 	var visit func(dir string)
 	visit = func(dir string) {
 		if visited[dir] {
@@ -180,10 +187,13 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 		deps := make(map[string]bool)
 		for _, f := range p.asts() {
 			for _, imp := range f.Imports {
-				if d, ok := prog.dirOf(strings.Trim(imp.Path.Value, `"`)); ok && d != dir {
-					if _, exists := prog.ByDir[d]; exists {
+				path := strings.Trim(imp.Path.Value, `"`)
+				if d, ok := prog.dirOf(path); ok {
+					if d != dir && prog.ByDir[d] != nil {
 						deps[d] = true
 					}
+				} else if isStdPath(path) {
+					std[path] = true
 				}
 			}
 		}
@@ -201,7 +211,21 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 		visit(dir)
 	}
 
-	imp := &progImporter{prog: prog, std: importer.Default()}
+	paths := make([]string, 0, len(std))
+	for path := range std {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	exports, err := stdExports(paths)
+	if err != nil {
+		return nil, err
+	}
+	imp := &progImporter{prog: prog, std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})}
 	for _, p := range prog.Pkgs {
 		checkPkg(p, fset, imp)
 	}
@@ -211,7 +235,46 @@ func loadProgram(root string, fset *token.FileSet, files []*File) *Program {
 			summarizePkg(prog, p)
 		}
 	}
-	return prog
+	return prog, nil
+}
+
+// isStdPath reports whether path is reserved for the standard library:
+// its first element has no dot.
+func isStdPath(path string) bool {
+	elem, _, _ := strings.Cut(path, "/")
+	return !strings.Contains(elem, ".")
+}
+
+// stdExports maps each standard-library package in paths, and
+// everything it imports, to its export data file. One `go list` runs
+// the way go/importer runs its per-package one: GOROOT's go binary,
+// from GOROOT. Under -e a path go list cannot resolve maps to "", so
+// only the packages importing it fail to type-check; a go list that
+// cannot run is a driver failure.
+func stdExports(paths []string) (map[string]string, error) {
+	exports := make(map[string]string)
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	goroot := build.Default.GOROOT
+	args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), args...)
+	cmd.Dir = goroot
+	cmd.Env = append(os.Environ(), "PWD="+goroot, "GOROOT="+goroot)
+	out, err := cmd.Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) && len(ee.Stderr) > 0 {
+			err = fmt.Errorf("%v: %s", err, strings.TrimSpace(string(ee.Stderr)))
+		}
+		return nil, flowerr.BadInputf("lint: %s list -export of the standard-library imports: %v", cmd.Path, err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exports[path] = file
+		}
+	}
+	return exports, nil
 }
 
 // checkPkg type-checks one package against the program importer.

@@ -7,9 +7,7 @@ import (
 	"strings"
 )
 
-// DefaultRules returns the project rule set, in reporting order. The
-// last two rules are typed-only: they stay silent unless Options.Typed
-// loads the go/types layer.
+// DefaultRules returns the project rule set, in reporting order.
 func DefaultRules() []Rule {
 	return []Rule{
 		determinismRule{},
@@ -66,38 +64,6 @@ func inDirs(f *File, dirs []string) bool {
 func inComputeScope(f *File) bool  { return rootFlowFiles[f.Rel] || inDirs(f, computeDirs) }
 func inTaxonomyScope(f *File) bool { return rootFlowFiles[f.Rel] || inDirs(f, taxonomyDirs) }
 
-// pkgName returns the local identifier under which a file imports
-// path (def is the path's default package name). ok is false when the
-// file does not import it by a usable name.
-func pkgName(f *ast.File, path, def string) (string, bool) {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != path {
-			continue
-		}
-		if imp.Name == nil {
-			return def, true
-		}
-		if imp.Name.Name == "_" || imp.Name.Name == "." {
-			return "", false
-		}
-		return imp.Name.Name, true
-	}
-	return "", false
-}
-
-// pkgCall matches a call of the form <local>.<sel> and returns sel.
-func pkgCall(call *ast.CallExpr, local string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != local {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
 // ---------------------------------------------------------------- //
 
 // determinismRule forbids wall-clock reads, the global math/rand
@@ -108,7 +74,8 @@ func pkgCall(call *ast.CallExpr, local string) (string, bool) {
 // artifact state. Rand and env checks stay confined to the compute
 // scope. All randomness must flow through internal/stats/rng.go
 // streams derived from Config.Seed; anything else silently poisons
-// cache keys and the golden/equivalence suites.
+// cache keys and the golden/equivalence suites. Callees resolve
+// through go/types, so renamed and dot imports cannot dodge the rule.
 type determinismRule struct{}
 
 // clockDir is the only package allowed to call time.Now/Since/Until.
@@ -133,52 +100,7 @@ var globalRandFuncs = map[string]bool{
 	"Shuffle": true, "Seed": true, "Read": true,
 }
 
-func (determinismRule) Check(f *File, report ReportFunc) {
-	clockScope := f.Dir != clockDir
-	computeScope := inComputeScope(f)
-	if !clockScope && !computeScope {
-		return
-	}
-	timeName, hasTime := pkgName(f.AST, "time", "time")
-	osName, hasOS := pkgName(f.AST, "os", "os")
-	randName, hasRand := pkgName(f.AST, "math/rand", "rand")
-	if !hasRand {
-		randName, hasRand = pkgName(f.AST, "math/rand/v2", "rand")
-	}
-	hasTime = hasTime && clockScope
-	hasOS = hasOS && computeScope
-	hasRand = hasRand && computeScope
-	if !hasTime && !hasOS && !hasRand {
-		return
-	}
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if hasTime {
-			if sel, ok := pkgCall(call, timeName); ok && (sel == "Now" || sel == "Since" || sel == "Until") {
-				report(call.Pos(), "time.%s outside internal/obs: route wall-clock reads through obs.Now/obs.Since so timing never leaks into artifact state", sel)
-			}
-		}
-		if hasOS {
-			if sel, ok := pkgCall(call, osName); ok && (sel == "Getenv" || sel == "LookupEnv" || sel == "Environ") {
-				report(call.Pos(), "os.%s in a deterministic flow package: behavior may not depend on the environment", sel)
-			}
-		}
-		if hasRand {
-			if sel, ok := pkgCall(call, randName); ok && globalRandFuncs[sel] {
-				report(call.Pos(), "global rand.%s: derive a seeded stream via internal/stats/rng.go instead", sel)
-			}
-		}
-		return true
-	})
-}
-
-// CheckTyped resolves callees through go/types, so renamed imports
-// (clock "time") and indirect aliases cannot dodge the rule the way
-// they can dodge the AST import-name match.
-func (determinismRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (determinismRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	clockScope := f.Dir != clockDir
 	computeScope := inComputeScope(f)
 	if !clockScope && !computeScope {
@@ -214,13 +136,13 @@ func (determinismRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report Repor
 // ---------------------------------------------------------------- //
 
 // mapOrderRule flags range loops over maps whose bodies build
-// order-sensitive output — slice appends, builder/hash writes —
-// without the appended slice being sorted afterwards. Map iteration
-// order is randomized per run, so such a loop is exactly the
+// order-sensitive output — slice appends, builder/hash writes, fmt
+// prints — without the appended slice being sorted afterwards. Map
+// iteration order is randomized per run, so such a loop is exactly the
 // encoding/fingerprint killer that breaks wire payload and cache-key
-// stability. The rule is AST-only: it fires only when the ranged
-// expression provably has a map type in the same function (local
-// declaration, composite literal or parameter).
+// stability. The ranged expression's type and the fmt callees resolve
+// through go/types, so struct fields, cross-package values, chained
+// selectors and dot imports are checked like locals.
 type mapOrderRule struct{}
 
 func (mapOrderRule) Name() string { return "maporder" }
@@ -228,61 +150,29 @@ func (mapOrderRule) Doc() string {
 	return "no order-sensitive writes (append/Write) inside a range over a map unless the result is sorted"
 }
 
-func (mapOrderRule) Check(f *File, report ReportFunc) {
+func (mapOrderRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if !inComputeScope(f) {
 		return
 	}
-	fmtName, hasFmt := pkgName(f.AST, "fmt", "fmt")
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok || !isLocalMap(rs.X) {
-				return true
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if t := pkg.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						checkMapRangeBody(pkg.Info, fd, rs, report)
+					}
+				}
 			}
-			checkMapRangeBody(fd, rs, f, fmtName, hasFmt, report)
 			return true
 		})
 	}
 }
 
-// CheckTyped replaces the file-local map-provenance heuristic with the
-// real type of the ranged expression: struct fields, cross-package
-// values and chained selectors all resolve, so map ranges the AST
-// layer could not prove now get checked too.
-func (mapOrderRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
-	if !inComputeScope(f) {
-		return
-	}
-	info := pkg.Info
-	fmtName, hasFmt := pkgName(f.AST, "fmt", "fmt")
-	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			checkMapRangeBody(fd, rs, f, fmtName, hasFmt, report)
-			return true
-		})
-	}
-}
-
-func checkMapRangeBody(fd *ast.FuncDecl, rs *ast.RangeStmt, f *File, fmtName string, hasFmt bool, report ReportFunc) {
+func checkMapRangeBody(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, report ReportFunc) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -302,7 +192,7 @@ func checkMapRangeBody(fd *ast.FuncDecl, rs *ast.RangeStmt, f *File, fmtName str
 				if root == nil || definedWithin(rs.Body, root.Name) {
 					continue // accumulator keyed off the map entry itself
 				}
-				if sortedAfter(fd, rs, target) {
+				if sortedAfter(info, fd, rs, target) {
 					continue
 				}
 				report(n.Pos(), "append to %s while ranging over a map: iteration order is random — collect keys, sort, then iterate", target)
@@ -314,61 +204,12 @@ func checkMapRangeBody(fd *ast.FuncDecl, rs *ast.RangeStmt, f *File, fmtName str
 					report(n.Pos(), "%s.%s while ranging over a map: output depends on random iteration order — sort the keys first", types.ExprString(sel.X), sel.Sel.Name)
 				}
 			}
-			if hasFmt {
-				if name, ok := pkgCall(n, fmtName); ok && (name == "Fprintf" || name == "Fprintln" || name == "Fprint") {
-					report(n.Pos(), "fmt.%s while ranging over a map: output depends on random iteration order — sort the keys first", name)
-				}
+			if name, ok := pkgFuncCall(info, n, "fmt"); ok && (name == "Fprintf" || name == "Fprintln" || name == "Fprint") {
+				report(n.Pos(), "fmt.%s while ranging over a map: output depends on random iteration order — sort the keys first", name)
 			}
 		}
 		return true
 	})
-}
-
-// isLocalMap reports whether expr resolves, within this file, to a
-// value of map type: a make(map[...]) or map-literal assignment, a
-// map-typed var declaration, or a map-typed parameter.
-func isLocalMap(expr ast.Expr) bool {
-	id, ok := expr.(*ast.Ident)
-	if !ok || id.Obj == nil {
-		return false
-	}
-	switch decl := id.Obj.Decl.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range decl.Lhs {
-			l, ok := lhs.(*ast.Ident)
-			if !ok || l.Obj != id.Obj || i >= len(decl.Rhs) {
-				continue
-			}
-			return isMapExpr(decl.Rhs[i])
-		}
-	case *ast.ValueSpec:
-		if _, ok := decl.Type.(*ast.MapType); ok {
-			return true
-		}
-		for i, name := range decl.Names {
-			if name.Obj == id.Obj && i < len(decl.Values) {
-				return isMapExpr(decl.Values[i])
-			}
-		}
-	case *ast.Field:
-		_, ok := decl.Type.(*ast.MapType)
-		return ok
-	}
-	return false
-}
-
-func isMapExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) > 0 {
-			_, ok := e.Args[0].(*ast.MapType)
-			return ok
-		}
-	case *ast.CompositeLit:
-		_, ok := e.Type.(*ast.MapType)
-		return ok
-	}
-	return false
 }
 
 // rootIdent returns the base identifier of x / x.f / x.f[i] chains.
@@ -410,22 +251,19 @@ func definedWithin(body *ast.BlockStmt, name string) bool {
 }
 
 // sortedAfter reports whether target is passed to a sort.*/slices.*
-// call after the range statement in the same function — the
+// function after the range statement in the same function — the
 // collect-then-sort idiom that makes the append order irrelevant.
-func sortedAfter(fd *ast.FuncDecl, rs *ast.RangeStmt, target string) bool {
+func sortedAfter(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, target string) bool {
 	sorted := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
-			return true
+		if _, ok := pkgFuncCall(info, call, "sort"); !ok {
+			if _, ok := pkgFuncCall(info, call, "slices"); !ok {
+				return true
+			}
 		}
 		for _, arg := range call.Args {
 			if types.ExprString(arg) == target {
@@ -442,7 +280,10 @@ func sortedAfter(fd *ast.FuncDecl, rs *ast.RangeStmt, target string) bool {
 // errTaxonomyRule requires exported functions in flow packages to
 // return classified errors: flowerr sentinels/constructors or
 // %w-wrapping fmt.Errorf — never naked errors.New / fmt.Errorf, which
-// callers cannot branch on and cmds cannot map to exit codes.
+// callers cannot branch on and cmds cannot map to exit codes. The
+// callees resolve through go/types, and only functions with an error
+// result are checked: an exported helper that cannot return an error
+// cannot leak a naked one into the taxonomy.
 type errTaxonomyRule struct{}
 
 func (errTaxonomyRule) Name() string { return "errtaxonomy" }
@@ -450,53 +291,7 @@ func (errTaxonomyRule) Doc() string {
 	return "exported flow APIs return flowerr-classified or %w-wrapped errors, not naked errors.New/fmt.Errorf"
 }
 
-func (errTaxonomyRule) Check(f *File, report ReportFunc) {
-	if !inTaxonomyScope(f) || f.Dir == "internal/flowerr" {
-		return
-	}
-	errorsName, hasErrors := pkgName(f.AST, "errors", "errors")
-	fmtName, hasFmt := pkgName(f.AST, "fmt", "fmt")
-	if !hasErrors && !hasFmt {
-		return
-	}
-	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || !fd.Name.IsExported() {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			for _, res := range ret.Results {
-				call, ok := res.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if hasErrors {
-					if sel, ok := pkgCall(call, errorsName); ok && sel == "New" {
-						report(call.Pos(), "%s returns naked errors.New: use a flowerr constructor (e.g. flowerr.BadInputf) so callers can branch on the class", fd.Name.Name)
-					}
-				}
-				if hasFmt {
-					if sel, ok := pkgCall(call, fmtName); ok && sel == "Errorf" && len(call.Args) > 0 {
-						if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING && !strings.Contains(lit.Value, "%w") {
-							report(call.Pos(), "%s returns fmt.Errorf without %%w: wrap a cause or use a flowerr constructor so the error keeps its class", fd.Name.Name)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// CheckTyped resolves errors.New / fmt.Errorf through go/types
-// (aliased imports resolve) and gates on the function actually having
-// an error result, so exported helpers that cannot leak a naked error
-// into the taxonomy are skipped instead of pattern-matched.
-func (errTaxonomyRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (errTaxonomyRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if !inTaxonomyScope(f) || f.Dir == "internal/flowerr" {
 		return
 	}
@@ -550,7 +345,9 @@ func (errTaxonomyRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report Repor
 // APIs that take a context.Context take it as the first parameter and
 // actually consult it, and in the sample-loop engines (mc, gsim) a
 // ctx-taking function with loops must poll cancellation from inside a
-// loop (or its worker closures) so runs stay interruptible.
+// loop (or its worker closures) so runs stay interruptible. The context
+// parameter is found by its type, so renamed imports and type aliases
+// resolve.
 type ctxFirstRule struct{}
 
 func (ctxFirstRule) Name() string { return "ctxfirst" }
@@ -558,12 +355,8 @@ func (ctxFirstRule) Doc() string {
 	return "exported blocking APIs take context.Context first and consult it; mc/gsim loops poll cancellation"
 }
 
-func (ctxFirstRule) Check(f *File, report ReportFunc) {
+func (ctxFirstRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if !inComputeScope(f) {
-		return
-	}
-	ctxPkg, ok := pkgName(f.AST, "context", "context")
-	if !ok {
 		return
 	}
 	loopScope := f.Dir == "internal/mc" || f.Dir == "internal/gsim"
@@ -572,32 +365,29 @@ func (ctxFirstRule) Check(f *File, report ReportFunc) {
 		if !ok || fd.Body == nil || fd.Type.Params == nil {
 			continue
 		}
-		idx, ctxIdent := ctxParam(fd, func(t ast.Expr) bool { return isCtxType(t, ctxPkg) })
-		reportCtxFunc(f, fd, idx, ctxIdent, loopScope, report)
-	}
-}
-
-// CheckTyped detects the context parameter through go/types, so
-// renamed context imports and type aliases resolve.
-func (ctxFirstRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
-	if !inComputeScope(f) {
-		return
-	}
-	info := pkg.Info
-	loopScope := f.Dir == "internal/mc" || f.Dir == "internal/gsim"
-	for _, decl := range f.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || fd.Type.Params == nil {
+		idx, ctxIdent := ctxParam(pkg.Info, fd)
+		if idx < 0 {
 			continue
 		}
-		idx, ctxIdent := ctxParam(fd, func(t ast.Expr) bool { return isContextType(info.TypeOf(t)) })
-		reportCtxFunc(f, fd, idx, ctxIdent, loopScope, report)
+		if fd.Name.IsExported() && idx > 0 {
+			report(fd.Name.Pos(), "%s takes context.Context at position %d: blocking APIs take ctx as the first parameter", fd.Name.Name, idx+1)
+		}
+		if ctxIdent == "" || ctxIdent == "_" {
+			continue
+		}
+		if fd.Name.IsExported() && !identUsed(fd.Body, ctxIdent) {
+			report(fd.Name.Pos(), "%s accepts %s but never consults it: check cancellation or pass it on", fd.Name.Name, ctxIdent)
+			continue
+		}
+		if loopScope && hasForLoop(fd.Body) && !ctxInLoop(fd.Body, ctxIdent) {
+			report(fd.Name.Pos(), "%s loops without polling %s: sample/iteration loops in %s must check cancellation", fd.Name.Name, ctxIdent, f.Dir)
+		}
 	}
 }
 
-// ctxParam locates the first context-typed parameter of fd by flat
+// ctxParam locates the first context.Context parameter of fd by flat
 // index, returning -1 when there is none.
-func ctxParam(fd *ast.FuncDecl, isCtx func(ast.Expr) bool) (int, string) {
+func ctxParam(info *types.Info, fd *ast.FuncDecl) (int, string) {
 	idx := -1
 	var ctxIdent string
 	flat := 0
@@ -606,7 +396,7 @@ func ctxParam(fd *ast.FuncDecl, isCtx func(ast.Expr) bool) (int, string) {
 		if names == 0 {
 			names = 1
 		}
-		if idx < 0 && isCtx(field.Type) {
+		if idx < 0 && isContextType(info.TypeOf(field.Type)) {
 			idx = flat
 			if len(field.Names) > 0 {
 				ctxIdent = field.Names[0].Name
@@ -615,35 +405,6 @@ func ctxParam(fd *ast.FuncDecl, isCtx func(ast.Expr) bool) (int, string) {
 		flat += names
 	}
 	return idx, ctxIdent
-}
-
-// reportCtxFunc is the shared reporting tail of both ctxfirst modes.
-func reportCtxFunc(f *File, fd *ast.FuncDecl, idx int, ctxIdent string, loopScope bool, report ReportFunc) {
-	if idx < 0 {
-		return
-	}
-	if fd.Name.IsExported() && idx > 0 {
-		report(fd.Name.Pos(), "%s takes context.Context at position %d: blocking APIs take ctx as the first parameter", fd.Name.Name, idx+1)
-	}
-	if ctxIdent == "" || ctxIdent == "_" {
-		return
-	}
-	if fd.Name.IsExported() && !identUsed(fd.Body, ctxIdent) {
-		report(fd.Name.Pos(), "%s accepts %s but never consults it: check cancellation or pass it on", fd.Name.Name, ctxIdent)
-		return
-	}
-	if loopScope && hasForLoop(fd.Body) && !ctxInLoop(fd.Body, ctxIdent) {
-		report(fd.Name.Pos(), "%s loops without polling %s: sample/iteration loops in %s must check cancellation", fd.Name.Name, ctxIdent, f.Dir)
-	}
-}
-
-func isCtxType(t ast.Expr, ctxPkg string) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == ctxPkg
 }
 
 func identUsed(body *ast.BlockStmt, name string) bool {
@@ -711,8 +472,7 @@ func ctxInLoop(body *ast.BlockStmt, name string) bool {
 // it defines itself and communicates over at least one captured
 // channel — a pure pump (broadcast dispatcher, ticker sampler,
 // result forwarder) whose lifetime is governed by the channels it
-// serves, so draining the channels joins it. Both proofs are lexical
-// and hold in the AST and typed modes alike.
+// serves, so draining the channels joins it. Both proofs are lexical.
 type goroutineRule struct{}
 
 func (goroutineRule) Name() string { return "goroutine" }
@@ -720,7 +480,7 @@ func (goroutineRule) Doc() string {
 	return "goroutines start only in the scheduler packages (internal/pipeline, mc, gsim, service), under a full WaitGroup Add/Done/Wait join in one function, or as a channel-confined pump (no captured writes, communicates over a captured channel)"
 }
 
-func (goroutineRule) Check(f *File, report ReportFunc) {
+func (goroutineRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if inDirs(f, schedulerDirs) {
 		return
 	}
@@ -905,7 +665,8 @@ func chanRoot(e ast.Expr) *ast.Ident {
 // pipeline.FS seam — that is where crash-safety (tmp + fsync + atomic
 // rename), fault injection and the degraded-mode accounting live. An
 // os.WriteFile elsewhere in a compute package silently bypasses all
-// three.
+// three. The os callees resolve through go/types, so a renamed or dot
+// import cannot hide direct filesystem IO.
 type fsConfineRule struct{}
 
 // fsConfineAllowed are the compute-scope files that implement the FS
@@ -926,29 +687,7 @@ func (fsConfineRule) Doc() string {
 	return "filesystem IO in compute packages goes through the pipeline.FS store seam, not direct os calls"
 }
 
-func (fsConfineRule) Check(f *File, report ReportFunc) {
-	if !inComputeScope(f) || fsConfineAllowed[f.Rel] {
-		return
-	}
-	osName, ok := pkgName(f.AST, "os", "os")
-	if !ok {
-		return
-	}
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := pkgCall(call, osName); ok && osFSFuncs[sel] {
-			report(call.Pos(), "os.%s in a compute package: route filesystem IO through pipeline.FS (internal/pipeline/fs.go) so it stays crash-safe, fault-injectable and degradation-aware", sel)
-		}
-		return true
-	})
-}
-
-// CheckTyped resolves os calls through go/types so an aliased import
-// cannot hide direct filesystem IO from the confinement check.
-func (fsConfineRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (fsConfineRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if !inComputeScope(f) || fsConfineAllowed[f.Rel] {
 		return
 	}

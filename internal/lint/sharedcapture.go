@@ -23,9 +23,8 @@ import (
 //     shared-state write the summaries cannot prove confined, and is
 //     reported.
 //
-// Like artifactalias, the rule needs go/types (to tell a slice index
-// from a map index and to resolve mutexes) and stays silent in -fast
-// AST-only mode.
+// go/types tells a slice index from a map index and resolves the
+// mutexes.
 type sharedCaptureRule struct{}
 
 func (sharedCaptureRule) Name() string { return "sharedcapture" }
@@ -33,10 +32,7 @@ func (sharedCaptureRule) Doc() string {
 	return "goroutine closures in the scheduler packages must not write captured state without proof of confinement (per-slot index writes, mutex guard, or channels)"
 }
 
-// Check is the AST-mode stub: capture analysis needs type info.
-func (sharedCaptureRule) Check(f *File, report ReportFunc) {}
-
-func (sharedCaptureRule) CheckTyped(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
+func (sharedCaptureRule) Check(prog *Program, pkg *Pkg, f *File, report ReportFunc) {
 	if !inDirs(f, schedulerDirs) {
 		return
 	}

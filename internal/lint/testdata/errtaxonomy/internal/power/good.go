@@ -18,3 +18,9 @@ func Wrap(err error) error {
 func helper() error {
 	return errors.New("power: internal probe")
 }
+
+// Describe has no error result, so its naked error never reaches a
+// caller that branches on the class.
+func Describe() any {
+	return errors.New("power: description")
+}
