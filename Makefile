@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race fault fuzz service-it crash-it bench bench-smoke bench-check bench-diff bench-diff-advisory ci clean
+.PHONY: all build fmt vet lint test shuffle race fault fuzz service-it crash-it bench bench-smoke bench-check bench-diff bench-diff-advisory ci clean
 
 all: build
 
@@ -29,6 +29,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# Order dependence: the root package's tests, the goldens among them,
+# in a fresh random order each run (~6 s). A failing run prints its
+# seed (`-test.shuffle N`); -shuffle=N replays that order.
+shuffle:
+	$(GO) test -count=1 -shuffle=on .
 
 # The concurrency-heavy engines (Monte Carlo dispatch/cancellation,
 # gate-level simulation, the pipeline graph scheduler, the timing
@@ -113,7 +119,7 @@ bench-diff:
 bench-diff-advisory:
 	-$(MAKE) bench-diff
 
-ci: fmt vet lint build race test fault service-it crash-it bench-smoke bench-check bench-diff-advisory
+ci: fmt vet lint build race test shuffle fault service-it crash-it bench-smoke bench-check bench-diff-advisory
 
 clean:
 	$(GO) clean ./...

@@ -302,11 +302,13 @@ func TestWhatIfSpeedup(t *testing.T) {
 }
 
 // TestFieldSweepWarmDirtySpeedup is the bench-smoke gate for the warm
-// path: a re-sweep that dirties one of sixteen positions must run at
-// least 5x faster than the cold sweep (the real ratio is far higher —
-// one position's shards against sixteen positions plus the baseline
-// build). A regression here means shard keys stopped isolating plan
-// edits and the warm path went cold.
+// path: a re-sweep that dirties one of sixteen positions recomputes
+// that position's 4 shards and serves the other 60 from the cache, and
+// runs at least 5x faster than the cold sweep (the real ratio is far
+// higher — one position's shards against sixteen positions plus the
+// baseline build). The warm side is the fastest of three re-sweeps,
+// each dirtying another position. A regression here means shard keys
+// stopped isolating plan edits and the warm path went cold.
 func TestFieldSweepWarmDirtySpeedup(t *testing.T) {
 	spec := service.ConfigSpec{
 		Small: true, Seed: 1,
@@ -314,7 +316,12 @@ func TestFieldSweepWarmDirtySpeedup(t *testing.T) {
 	}
 	req := service.Request{Kind: "field_sweep", Grid: "4x4", Shards: 4, Points: 9, Config: spec}
 	ctx := context.Background()
-	eng := service.NewEngine(service.NewCache(128<<20), nil)
+	m := service.NewMetrics()
+	eng := service.NewEngine(service.NewCache(128<<20), m)
+	shards := func() (computed, cached int64) {
+		c := m.Snapshot(nil, nil).Counters
+		return c["yield.shards_computed"], c["yield.shards_cached"]
+	}
 
 	t0 := obs.Now()
 	if _, err := eng.Run(ctx, req); err != nil {
@@ -322,13 +329,21 @@ func TestFieldSweepWarmDirtySpeedup(t *testing.T) {
 	}
 	cold := obs.Since(t0)
 
-	dirty := req
-	dirty.Overlays = []service.OverlaySpec{{Pos: "r1c1", XMM: 2, YMM: 2, RMM: 3, DeltaFrac: 0.03}}
-	t1 := obs.Now()
-	if _, err := eng.Run(ctx, dirty); err != nil {
-		t.Fatal(err)
+	warm := time.Duration(1<<63 - 1)
+	for _, pos := range []string{"r1c1", "r2c3", "r3c0"} {
+		dirty := req
+		dirty.Overlays = []service.OverlaySpec{{Pos: pos, XMM: 2, YMM: 2, RMM: 3, DeltaFrac: 0.03}}
+		computed, cached := shards()
+		t1 := obs.Now()
+		if _, err := eng.Run(ctx, dirty); err != nil {
+			t.Fatal(err)
+		}
+		warm = min(warm, obs.Since(t1))
+		c, h := shards()
+		if c-computed != 4 || h-cached != 60 {
+			t.Fatalf("re-sweep dirtying %s computed %d shards and hit %d, want 4 and 60", pos, c-computed, h-cached)
+		}
 	}
-	warm := obs.Since(t1)
 
 	if cold < 5*warm {
 		t.Fatalf("warm-dirty re-sweep %v not ≥5x faster than cold %v", warm, cold)

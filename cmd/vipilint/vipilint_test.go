@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,19 +15,42 @@ import (
 	"vipipe/internal/lint"
 )
 
-// buildLint compiles the real binary once per test binary; exit codes
-// can only be asserted against an exec'd process (`go run` collapses
-// them to 1).
-func buildLint(t *testing.T) string {
+// lintBin is the real binary, which TestMain compiles once for every
+// test (empty under -short); exit codes can only be asserted against
+// an exec'd process (`go run` collapses them to 1).
+var lintBin string
+
+func TestMain(m *testing.M) {
+	flag.Parse() // testing.Short reads the parsed flags
+	os.Exit(runTests(m))
+}
+
+// runTests builds lintBin into a temporary directory, runs the tests
+// and removes the directory.
+func runTests(m *testing.M) int {
+	if !testing.Short() {
+		dir, err := os.MkdirTemp("", "vipilint-test")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer os.RemoveAll(dir)
+		lintBin = filepath.Join(dir, "vipilint")
+		if out, err := exec.Command("go", "build", "-o", lintBin, ".").CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+			return 1
+		}
+	}
+	return m.Run()
+}
+
+// lintBinary returns the built binary, skipping t under -short.
+func lintBinary(t *testing.T) string {
 	t.Helper()
-	if testing.Short() {
+	if lintBin == "" {
 		t.Skip("builds and runs the vipilint binary")
 	}
-	bin := filepath.Join(t.TempDir(), "vipilint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
+	return lintBin
 }
 
 func writeTree(t *testing.T, files map[string]string) string {
@@ -67,7 +92,7 @@ func Stamp() time.Time {
 // TestExitCodes drives the binary end to end through its three exit
 // classes: clean tree, findings, and a driver failure.
 func TestExitCodes(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	dirty := writeTree(t, map[string]string{"internal/mc/bad.go": dirtyFile})
 	out, err := exec.Command(bin, dirty).CombinedOutput()
@@ -139,7 +164,7 @@ func Register(g *pipeline.Graph) {
 // built binary: it catches the in-place sort of a dep and exits
 // ExitDRC.
 func TestTypedRules(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	root := writeTree(t, poisonTree)
 	out, err := exec.Command(bin, root).CombinedOutput()
@@ -153,7 +178,7 @@ func TestTypedRules(t *testing.T) {
 
 // TestTypedJSON checks the machine-readable shape of a typed finding.
 func TestTypedJSON(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	root := writeTree(t, poisonTree)
 	out, err := exec.Command(bin, "-json", root).Output()
@@ -174,9 +199,11 @@ func TestTypedJSON(t *testing.T) {
 
 // TestBrokenPackage checks the degraded path under -strict: a package
 // that does not type-check is one `lint` diagnostic, no rule runs on
-// its files, and so none of their directives is stale.
+// its files, and so none of their directives is stale. The tree is
+// linted by its absolute path, which the message must not repeat: the
+// diagnostic's file, line and column already place the error.
 func TestBrokenPackage(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	root := writeTree(t, map[string]string{
 		"go.mod": "module vipipe\n\ngo 1.22\n",
@@ -195,7 +222,10 @@ func Kept() int { return undefinedName }
 		t.Fatalf("-json output does not parse: %v\n%s", err, out)
 	}
 	if len(diags) != 1 || diags[0].Rule != "lint" || !strings.Contains(diags[0].Msg, "does not type-check") {
-		t.Errorf("want exactly the type-check finding, got %+v", diags)
+		t.Fatalf("want exactly the type-check finding, got %+v", diags)
+	}
+	if d := diags[0]; d.File != "internal/mc/bad.go" || d.Line != 4 || strings.Contains(d.Msg, root) {
+		t.Errorf("finding not placed by its tree-relative position alone: %+v", d)
 	}
 }
 
@@ -204,7 +234,7 @@ func Kept() int { return undefinedName }
 // directory the run exits ExitBadInput naming the command. A tree with
 // no standard-library imports runs no go list and stays clean.
 func TestBrokenToolchain(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	run := func(root string) ([]byte, error) {
 		cmd := exec.Command(bin, root)
@@ -228,7 +258,7 @@ func TestBrokenToolchain(t *testing.T) {
 // TestJSONOutput checks that -json emits a machine-readable array in
 // both the findings and the empty case.
 func TestJSONOutput(t *testing.T) {
-	bin := buildLint(t)
+	bin := lintBinary(t)
 
 	dirty := writeTree(t, map[string]string{"internal/mc/bad.go": dirtyFile})
 	out, err := exec.Command(bin, "-json", dirty).Output()

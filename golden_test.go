@@ -54,28 +54,29 @@ func TestConfigHashGolden(t *testing.T) {
 	}
 }
 
-// TestTimingModelGolden pins the bytes of the compact timing models:
-// the SHA-256 of the disk-codec (gob) encoding of every tmodel/* node
-// of the seed-1 TestConfig graph, for each slicing strategy at the
-// four diagonal positions. Extraction is deterministic, so any change
+// TestTimingModelGolden pins the compact timing models: the SHA-256 of
+// the %+v rendering (field names, floats in shortest round-trip form)
+// of every tmodel/* node of the seed-1 TestConfig graph, for each
+// slicing strategy at the four diagonal positions, after a round trip
+// through the disk codec. Extraction is deterministic, so any change
 // to path selection, cell data, validation bounds or the Model layout
-// shows up here, and so does a change to the format DiskStore
-// persists: a daemon restarted over an old store would still decode,
-// but serve different answers.
+// shows up here, and so does a disk format that no longer restores
+// the model a daemon would serve. The rendering, unlike gob's bytes,
+// does not depend on which types the test binary encoded before.
 func TestTimingModelGolden(t *testing.T) {
 	golden := map[string]string{
-		"tmodel/vertical/A":   "c0f1aaef73b1966d22e9007cd0cd31a4dfd8b93825ff499d670420f1fad87a3c",
-		"tmodel/vertical/B":   "bb0ece0b0f8947f2edc25ed8b41df61571fc355806a975fb0d08a0611a3bcf30",
-		"tmodel/vertical/C":   "a5a6ec1229fa27882d3a7945c1636c6b7ce0da959e3b8b456e7f672c8282f58f",
-		"tmodel/vertical/D":   "fac292c20318e730443a6244ae9c73e075c753ff19d840348c85f21a71fbaab9",
-		"tmodel/horizontal/A": "1e80fbd05cfd39131d290eed4265ab3ce21bb679b47f75ed9f865fb1dca0f8e2",
-		"tmodel/horizontal/B": "fa26485e66dbef08d9236d42e6f8ea7215682bbfcb08390305a1a2df5cff4381",
-		"tmodel/horizontal/C": "6442d9e7355804994430a05cb34fd31a540e2670f1c0b21a595ce8e147312363",
-		"tmodel/horizontal/D": "7670fb8ed52acc810c69d039f6cf014846468d5854e36be3f3b8b8f9a0e7c8cf",
-		"tmodel/corner/A":     "a0fd6ddcb16beab15d46a3a46b2083744bb5149644531a8cd33b938e094ffdcc",
-		"tmodel/corner/B":     "c96a76a695b36bb15b43f72720039e233c1e96e2e876c0e2d2e63b485b3bc8ac",
-		"tmodel/corner/C":     "13a169444ea5d0d907647676e539a9520525c659fa8de475b987d29885cf81de",
-		"tmodel/corner/D":     "446897ad19d6d284ec749775258770a01cae577f16d850e3eb9e9f79c0af5768",
+		"tmodel/vertical/A":   "af9907f6f8015a0a3aa1f08339bbd9f1d4b42be407c7c9be0b137cf6ae214e33",
+		"tmodel/vertical/B":   "5a11a438b010595c19905bcd4e50ec5214c22e934ee3d0453621567c6f47a4c4",
+		"tmodel/vertical/C":   "42a4c13bff8aaf68dfeef0c78c861bf5a8b5dbaeb67baf6cff87d93351d95d4f",
+		"tmodel/vertical/D":   "b3867b397b32de8276c5028939e0ddad6389527621677d932743a92eae8d93d5",
+		"tmodel/horizontal/A": "692edc804a20b09b6a80506cec1c7a3b4a9fc9df0af6f1639b161b8643446526",
+		"tmodel/horizontal/B": "1f5c1ae12cfa8204aa8a12baba0ff15e4e249650e6a6e61fe59c2f08f57b9d6c",
+		"tmodel/horizontal/C": "4997d1428b76090075dda792eed40dde1671c187ad94d67353168f8111efaab1",
+		"tmodel/horizontal/D": "d2e346eaca7062f436a83d49e709ade96ceab15ceeac5b98ee7438078ae22ded",
+		"tmodel/corner/A":     "9785401f37712d0414e6a6295b482ba0900659b4742b234cf4550933dbb8c3e7",
+		"tmodel/corner/B":     "666d485a008061db914f19e236013ed8c711954c89660da4a2e5064fa14ad554",
+		"tmodel/corner/C":     "4d3ef3908fffdb0312715e4b666415cb801bd2bdd1c34515c69b29d03f8bfd98",
+		"tmodel/corner/D":     "fba2e8096cefb2060881649b0e851cdd8132d90e7cc9e2ee005d2b920a2b2960",
 	}
 	ids := make([]string, 0, len(golden))
 	for id := range golden {
@@ -88,11 +89,16 @@ func TestTimingModelGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		b, err := DiskCodecs()(id).Encode(arts[id])
+		c := DiskCodecs()(id)
+		b, err := c.Encode(arts[id])
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		sum := sha256.Sum256(b)
+		back, err := c.Decode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", back))
 		if got := hex.EncodeToString(sum[:]); got != golden[id] {
 			t.Errorf("%s: model digest %s, want %s — extraction output changed, see test comment", id, got, golden[id])
 		}

@@ -185,17 +185,22 @@ func Run(root string, opts Options) ([]Diagnostic, error) {
 			continue
 		}
 		complete = false
-		line, col, rel := 1, 1, p.Files[0].Rel
-		if te, ok := p.LoadErr.(types.Error); ok && te.Pos.IsValid() {
-			pos := fset.Position(te.Pos)
-			if r, err := filepath.Rel(root, pos.Filename); err == nil {
-				rel = filepath.ToSlash(r)
+		line, col, rel, msg := 1, 1, p.Files[0].Rel, fmt.Sprint(p.LoadErr)
+		// A types.Error's own string repeats its position with the path
+		// the parser got; the diagnostic carries the position already.
+		if te, ok := p.LoadErr.(types.Error); ok {
+			msg = te.Msg
+			if te.Pos.IsValid() {
+				pos := fset.Position(te.Pos)
+				if r, err := filepath.Rel(root, pos.Filename); err == nil {
+					rel = filepath.ToSlash(r)
+				}
+				line, col = pos.Line, pos.Column
 			}
-			line, col = pos.Line, pos.Column
 		}
 		diags = append(diags, Diagnostic{
 			File: rel, Line: line, Col: col, Rule: ignoreRule,
-			Msg: fmt.Sprintf("package %s does not type-check (its files are not linted): %v", p.Path, p.LoadErr),
+			Msg: fmt.Sprintf("package %s does not type-check (its files are not linted): %s", p.Path, msg),
 		})
 	}
 

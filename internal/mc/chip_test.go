@@ -3,7 +3,6 @@ package mc
 import (
 	"context"
 	"math"
-	"slices"
 	"testing"
 
 	"vipipe/internal/cell"
@@ -61,11 +60,11 @@ func TestChipMatchesExactWithDomains(t *testing.T) {
 			if !sameFrame(&got, &want) {
 				t.Fatalf("sample %d %s: Frame %+v, exact %+v", k, step, got, want)
 			}
-			violated = violated || len(want.Violators) > 0
+			violated = violated || want.WorstSlack < 0
 		}
 	}
 	if !violated {
-		t.Error("no sample violated: the violator scan went unchecked")
+		t.Error("no sample violated: negative slacks went unchecked")
 	}
 }
 
@@ -73,12 +72,12 @@ func TestChipMatchesExactWithDomains(t *testing.T) {
 func sameFrame(a, b *sta.Frame) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if !same(a.ClockPS, b.ClockPS) || !same(a.CritPS, b.CritPS) || !same(a.WorstSlack, b.WorstSlack) ||
-		a.Present != b.Present || !slices.Equal(a.Violators, b.Violators) {
+		a.Present != b.Present {
 		return false
 	}
 	for s := range a.Lanes {
 		x, y := a.Lanes[s], b.Lanes[s]
-		if !same(x.WorstSlack, y.WorstSlack) || !same(x.WorstArr, y.WorstArr) || x.Endpoint != y.Endpoint || x.Endpoints != y.Endpoints {
+		if !same(x.WorstSlack, y.WorstSlack) || x.Endpoint != y.Endpoint || x.Endpoints != y.Endpoints {
 			return false
 		}
 	}

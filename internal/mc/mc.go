@@ -34,10 +34,6 @@ type Options struct {
 	// Derate composes the slack-recovery factors into every sample
 	// (nil = none).
 	Derate []float64
-	// Domains assigns each instance a supply domain (nil = all low):
-	// the voltage-island generator uses this to verify that a
-	// candidate high-Vdd slice compensates a violation scenario.
-	Domains []cell.Domain
 	// PanicTolerance is the number of samples allowed to fail with a
 	// recovered worker panic before the whole run errors out. Within
 	// the tolerance a panicked sample degrades to a skip recorded in
@@ -57,10 +53,10 @@ type StageDist struct {
 	Fit       stats.Normal
 	GOF       stats.GOFResult // chi-square goodness of fit (the paper's test)
 	KS        stats.GOFResult // Kolmogorov-Smirnov, binning-free complement
-	FitErr    error
-	ViolFrac  float64 // fraction of samples with negative slack
-	ViolProb  float64 // P(slack < 0) under the normal fit
-	Endpoints int     // endpoints in this stage
+	FitErr    string          // why the normal fit failed ("" = it did not)
+	ViolFrac  float64         // fraction of samples with negative slack
+	ViolProb  float64         // P(slack < 0) under the normal fit
+	Endpoints int             // endpoints in this stage
 }
 
 // Violates reports whether the stage's distribution breaks the nominal
@@ -87,9 +83,6 @@ type Result struct {
 	PerStage map[netlist.Stage]*StageDist
 	// CritPS is the distribution of the global critical path delay.
 	CritPS []float64
-	// EndpointViolations counts, per endpoint instance, the samples
-	// in which that endpoint violated.
-	EndpointViolations map[int]int
 	// StageCriticals counts, per stage, how often each endpoint was
 	// that stage's critical (worst-slack) endpoint across samples:
 	// the "signal paths that can become critical under process
@@ -107,11 +100,10 @@ type sampleBatch struct {
 	stagePresent []uint8 // bitmask over netlist.Stage (NumStages <= 8)
 	stageSlack   [netlist.NumStages][]float64
 	stageWorst   [netlist.NumStages][]int32
-	violators    [][]int32
 }
 
-// Run performs the Monte Carlo SSTA for a core placed at pos, under
-// opts.Domains: NewRunner followed by one Runner.Run.
+// Run performs the Monte Carlo SSTA for a core placed at pos with
+// every cell at low Vdd: NewRunner followed by one Runner.Run.
 //
 // The run honors ctx: cancellation or deadline expiry stops dispatch
 // immediately and in-flight workers abandon their queues at the next
@@ -130,7 +122,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(ctx, opts.Domains)
+	return r.Run(ctx, nil)
 }
 
 // Runner holds the per-worker sample cores of a run at one position
@@ -149,7 +141,7 @@ type Runner struct {
 // NewRunner builds the sample cores of a run at pos under opts: one
 // Chip per worker, all forked from one core before any of them draws,
 // so they share the position's systematic gate-length map and the
-// bracket tables. opts.Domains is not read; each Run names its own.
+// bracket tables. Each Run names its own supply domains.
 func NewRunner(a *sta.Analyzer, model *variation.Model, pos variation.Pos, opts Options) (*Runner, error) {
 	if opts.Samples < 2 {
 		return nil, flowerr.BadInputf("mc: need at least 2 samples, got %d", opts.Samples)
@@ -206,7 +198,6 @@ func (r *Runner) Run(ctx context.Context, domains []cell.Domain) (*Result, error
 		panicked:     make([]*flowerr.PanicError, opts.Samples),
 		crit:         make([]float64, opts.Samples),
 		stagePresent: make([]uint8, opts.Samples),
-		violators:    make([][]int32, opts.Samples),
 	}
 	for s := range outs.stageSlack {
 		outs.stageSlack[s] = make([]float64, opts.Samples)
@@ -246,9 +237,6 @@ func (r *Runner) Run(ctx context.Context, domains []cell.Domain) (*Result, error
 					outs.stageWorst[st][k] = int32(frame.Lanes[st].Endpoint)
 				}
 				outs.stagePresent[k] = mask
-				if len(frame.Violators) > 0 {
-					outs.violators[k] = append([]int32(nil), frame.Violators...)
-				}
 				outs.done[k] = true
 			}
 			for k := range idx {
@@ -298,15 +286,14 @@ dispatch:
 	}
 
 	res := &Result{
-		Pos:                pos,
-		ClockPS:            opts.ClockPS,
-		Samples:            completed,
-		Requested:          opts.Samples,
-		Skipped:            skipped,
-		PerStage:           make(map[netlist.Stage]*StageDist),
-		CritPS:             make([]float64, 0, completed),
-		EndpointViolations: make(map[int]int),
-		StageCriticals:     make(map[netlist.Stage]map[int]int),
+		Pos:            pos,
+		ClockPS:        opts.ClockPS,
+		Samples:        completed,
+		Requested:      opts.Samples,
+		Skipped:        skipped,
+		PerStage:       make(map[netlist.Stage]*StageDist),
+		CritPS:         make([]float64, 0, completed),
+		StageCriticals: make(map[netlist.Stage]map[int]int),
 	}
 	for k := 0; k < opts.Samples; k++ {
 		if !outs.done[k] {
@@ -331,9 +318,6 @@ dispatch:
 				res.StageCriticals[st] = m
 			}
 			m[int(outs.stageWorst[s][k])]++
-		}
-		for _, inst := range outs.violators[k] {
-			res.EndpointViolations[int(inst)]++
 		}
 	}
 	for _, d := range res.PerStage {
@@ -362,7 +346,7 @@ func (d *StageDist) finalize(samples int) {
 	d.ViolFrac = float64(viol) / float64(samples)
 	fit, err := stats.FitNormal(d.SlackPS)
 	if err != nil {
-		d.FitErr = err
+		d.FitErr = err.Error()
 		return
 	}
 	d.Fit = fit

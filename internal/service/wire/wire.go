@@ -84,7 +84,7 @@ func FromMCResult(r *mc.Result) MCResult {
 		if d == nil {
 			continue
 		}
-		ws := MCStage{
+		out.Stages = append(out.Stages, MCStage{
 			Stage:         st.String(),
 			MuPS:          d.Fit.Mu,
 			SigmaPS:       d.Fit.Sigma,
@@ -95,11 +95,8 @@ func FromMCResult(r *mc.Result) MCResult {
 			KSPValue:      d.KS.PValue,
 			KSAccepted:    d.KS.Accepted,
 			Endpoints:     d.Endpoints,
-		}
-		if d.FitErr != nil {
-			ws.FitError = d.FitErr.Error()
-		}
-		out.Stages = append(out.Stages, ws)
+			FitError:      d.FitErr,
+		})
 	}
 	return out
 }

@@ -327,7 +327,7 @@ func (k *Kernel) Crit(clockPS float64, exact ExactFunc) float64 {
 
 // Frame summarizes the bounded sample into f, bit-identical to
 // RunFrame on the exact scales. Candidates are the endpoints that can
-// still set CritPS, a stage's worst slack, or a flop's violation.
+// still set CritPS or a stage's worst slack.
 func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 	if k.exactPath(clockPS) {
 		k.RunFrame(f, clockPS, k.exactAll(exact))
@@ -369,14 +369,12 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 	b.nets = b.nets[:0]
 	for _, i := range k.seq {
 		n := k.in0[i]
-		tl, th := b.lower(n)+k.wire[n], b.up[n]+k.wire[n]
+		th := b.up[n] + k.wire[n]
 		if th == neg {
 			continue
 		}
-		needLo, needHi := k.required(clockPS, i, b.hi[i]), k.required(clockPS, i, b.lo[i])
-		slackLo := needLo - th
-		straddles := slackLo < 0 && needHi-tl >= 0
-		if th+(clockPS-needLo) >= maxLo || slackLo <= minHi[k.stage[i]] || straddles {
+		needLo := k.required(clockPS, i, b.hi[i])
+		if th+(clockPS-needLo) >= maxLo || needLo-th <= minHi[k.stage[i]] {
 			k.mark[i] = e
 			k.demand(n)
 		}
@@ -387,30 +385,20 @@ func (k *Kernel) Frame(f *Frame, clockPS float64, exact ExactFunc) {
 		}
 	}
 	k.refine(e, exact)
-	// endpoints over the candidates, in its scan order. A flop that is
-	// not a candidate violates exactly when its slack upper bound is < 0.
-	j := b.nComb
-	for _, i := range k.seq {
-		n := k.in0[i]
+	// endpoints over the candidates, in its scan order: flops in
+	// ascending order, then POs.
+	for j := b.nComb; j < len(b.cells); j++ {
+		i := int(b.cells[j])
 		if k.mark[i] != e {
-			if tl := b.lower(n) + k.wire[n]; tl != neg && k.required(clockPS, i, b.lo[i])-tl < 0 {
-				f.Violators = append(f.Violators, int32(i))
-			}
 			continue
 		}
-		for int(b.cells[j]) != i {
-			j++
-		}
 		need := k.required(clockPS, i, b.xs[j])
+		n := k.in0[i]
 		t := b.exact(n) + k.wire[n]
 		if t == neg {
 			continue
 		}
-		slack := need - t
-		f.observe(i, t, need, slack, k.stage[i])
-		if slack < 0 {
-			f.Violators = append(f.Violators, int32(i))
-		}
+		f.observe(i, t, need, need-t, k.stage[i])
 	}
 	for _, n := range k.pos {
 		if !b.demanded(int32(n)) {

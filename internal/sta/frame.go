@@ -10,7 +10,6 @@ import (
 type StageLane struct {
 	Stage      netlist.Stage
 	WorstSlack float64
-	WorstArr   float64
 	Endpoint   int // instance of the worst endpoint (netlist.NoInst for a PO)
 	Endpoints  int
 }
@@ -28,9 +27,6 @@ type Frame struct {
 	// vary with the scale vector).
 	Lanes   [netlist.NumStages]StageLane
 	Present [netlist.NumStages]bool
-	// Violators lists the flop instances with negative slack, in
-	// ascending instance order (primary outputs are excluded).
-	Violators []int32
 }
 
 // RunFrame performs a full timing analysis and summarizes every
@@ -60,9 +56,6 @@ func (s *shape) endpoints(f *Frame, eps *[]Endpoint, arr []float64, clockPS floa
 		slack := need - t
 		f.count(s.stage[i])
 		f.observe(i, t, need, slack, s.stage[i])
-		if slack < 0 {
-			f.Violators = append(f.Violators, int32(i))
-		}
 		if eps != nil {
 			*eps = append(*eps, Endpoint{Inst: i, Net: int(n), Stage: s.stage[i], Arrival: t, Slack: slack})
 		}
@@ -85,7 +78,6 @@ func (f *Frame) reset(clockPS float64) {
 	f.ClockPS = clockPS
 	f.CritPS = 0
 	f.WorstSlack = math.Inf(1)
-	f.Violators = f.Violators[:0]
 	for s := range f.Lanes {
 		f.Lanes[s] = StageLane{Stage: netlist.Stage(s), WorstSlack: math.Inf(1)}
 		f.Present[s] = false
@@ -111,7 +103,6 @@ func (f *Frame) observe(inst int, t, need, slack float64, stage netlist.Stage) {
 	lane := &f.Lanes[stage]
 	if slack < lane.WorstSlack {
 		lane.WorstSlack = slack
-		lane.WorstArr = t
 		lane.Endpoint = inst
 	}
 }

@@ -109,8 +109,7 @@ func TestRerunMatchesFullRun(t *testing.T) {
 }
 
 // TestKernelZeroAlloc holds Run, Rerun and RunFrame to the kernel's
-// zero-allocation contract, once a frame's violator list has grown to
-// its high-water mark.
+// zero-allocation contract.
 func TestKernelZeroAlloc(t *testing.T) {
 	a := coreAnalyzer(t)
 	k := NewKernel(a)
@@ -124,8 +123,6 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}
 	clock := a.Run(1e9, nil).CritPS
 	frame := &Frame{}
-	k.RunFrame(frame, clock, base)
-	k.RunFrame(frame, clock, ov)
 	flip := false
 	for _, c := range []struct {
 		name string

@@ -37,7 +37,7 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 	nl := twoStage(5, 40)
 	a := analyze(t, nl)
 	nom := a.Run(1e9, nil) // huge clock: measure raw arrivals
-	clock := nom.Lanes[netlist.StageExecute].WorstArr * 1.02
+	clock := worstArr(nom, netlist.StageExecute) * 1.02
 	targets := RecoveryTargets{
 		netlist.StageDecode:  0.95,
 		netlist.StageExecute: 1.0,
@@ -47,8 +47,8 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := a.Run(clock, derate)
-	dec := rep.Lanes[netlist.StageDecode].WorstArr
-	ex := rep.Lanes[netlist.StageExecute].WorstArr
+	dec := worstArr(rep, netlist.StageDecode)
+	ex := worstArr(rep, netlist.StageExecute)
 	// Decode was ~8x faster than execute; after recovery it must sit
 	// near 95% of the clock.
 	if dec < 0.85*clock {
@@ -58,8 +58,8 @@ func TestSlackRecoveryClosesTheGap(t *testing.T) {
 		t.Errorf("decode arr %.0f overshot the clock %.0f", dec, clock)
 	}
 	// Execute (the critical stage) must be essentially untouched.
-	if ex > nom.Lanes[netlist.StageExecute].WorstArr*1.05 {
-		t.Errorf("execute slowed from %.0f to %.0f", nom.Lanes[netlist.StageExecute].WorstArr, ex)
+	if ex > worstArr(nom, netlist.StageExecute)*1.05 {
+		t.Errorf("execute slowed from %.0f to %.0f", worstArr(nom, netlist.StageExecute), ex)
 	}
 	// All derates are >= 1 (recovery never speeds cells up).
 	for i, f := range derate {
@@ -73,7 +73,7 @@ func TestSlackRecoveryRespectsMaxDerate(t *testing.T) {
 	nl := twoStage(2, 60)
 	a := analyze(t, nl)
 	nom := a.Run(1e9, nil)
-	clock := nom.Lanes[netlist.StageExecute].WorstArr
+	clock := worstArr(nom, netlist.StageExecute)
 	derate, err := a.SlackRecoveryCtx(context.Background(), clock, DefaultRecoveryTargets(), 2.0, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestSlackRecoveryRespectsMaxDerate(t *testing.T) {
 	}
 	// With a tight cap the 2-inverter chain cannot reach the wall.
 	rep := a.Run(clock, derate)
-	if dec := rep.Lanes[netlist.StageDecode].WorstArr; dec > 0.6*clock {
+	if dec := worstArr(rep, netlist.StageDecode); dec > 0.6*clock {
 		t.Errorf("capped recovery reached %.0f of clock %.0f — cap ineffective", dec, clock)
 	}
 }
@@ -132,9 +132,9 @@ func TestVexRecoveryReproducesStageWall(t *testing.T) {
 	}
 	rep := a.Run(clock, derate)
 
-	ex := rep.Lanes[netlist.StageExecute].WorstArr
-	dc := rep.Lanes[netlist.StageDecode].WorstArr
-	wb := rep.Lanes[netlist.StageWriteback].WorstArr
+	ex := worstArr(rep, netlist.StageExecute)
+	dc := worstArr(rep, netlist.StageDecode)
+	wb := worstArr(rep, netlist.StageWriteback)
 	// Fig. 3 ordering: EX most critical, then DC, then WB, all close
 	// to the clock.
 	if !(ex > dc && dc > wb) {

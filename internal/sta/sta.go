@@ -128,7 +128,7 @@ type Endpoint struct {
 }
 
 // Report is the result of one timing analysis: the Frame summary
-// (clock, critical path, worst slack, per-stage lanes, violators) plus
+// (clock, critical path, worst slack, per-stage lanes) plus
 // the per-net arrivals and every constrained endpoint.
 type Report struct {
 	Frame

@@ -42,8 +42,10 @@ var ErrOutOfDomain = errors.New("tmodel: query outside model validity domain")
 // one chip position: the union of worst path signatures over the
 // island-raise probe corners, with per-cell low/high-supply delay
 // terms precomputed. All fields are pure data (slices and plain
-// structs only, no maps), so the gob encoding of a Model is
-// deterministic — equal models encode to identical bytes.
+// structs only, no maps or pointers), so a Model round-trips through
+// gob unchanged. Its gob bytes are no fingerprint, though: they carry
+// gob's process-wide type ids, which depend on what the process
+// encoded before.
 type Model struct {
 	ClockPS float64
 	// Islands is the number of nested voltage islands; the valid raise

@@ -56,6 +56,20 @@ func (f *fixture) scenarioPositions() []variation.Pos {
 	return []variation.Pos{ps[2], ps[1], ps[0]}
 }
 
+// check runs 60 fresh chips (seed 10) at pos under domains.
+func (f *fixture) check(t testing.TB, pos variation.Pos, domains []cell.Domain) *mc.Result {
+	t.Helper()
+	r, err := mc.NewRunner(f.a, &f.model, pos, mc.Options{Samples: 60, Seed: 10, ClockPS: f.clock, Derate: f.derate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(context.Background(), domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func (f *fixture) generate(t testing.TB, strat Strategy) *Partition {
 	return f.generateCtx(context.Background(), t, strat)
 }
@@ -194,13 +208,7 @@ func TestIslandsCompensateScenarios(t *testing.T) {
 	p := f.generate(t, Vertical)
 	positions := f.scenarioPositions()
 	for k, pos := range positions {
-		domains := p.Domains(k + 1)
-		res, err := mc.Run(context.Background(), f.a, &f.model, pos, mc.Options{
-			Samples: 60, Seed: 10, ClockPS: f.clock, Derate: f.derate, Domains: domains,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := f.check(t, pos, p.Domains(k+1))
 		// The generator targets a 2-sigma margin with its own sample
 		// set; verify with a slightly looser bound on fresh samples.
 		for _, st := range mc.PipelineStages {
@@ -219,12 +227,7 @@ func TestFewerIslandsDoNotCompensateWorstCase(t *testing.T) {
 	f := newFixture(t)
 	p := f.generate(t, Vertical)
 	a := f.scenarioPositions()[2] // point A
-	res, err := mc.Run(context.Background(), f.a, &f.model, a, mc.Options{
-		Samples: 60, Seed: 10, ClockPS: f.clock, Derate: f.derate, Domains: p.Domains(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := f.check(t, a, p.Domains(1))
 	worstOK := true
 	for _, st := range mc.PipelineStages {
 		d := res.PerStage[st]

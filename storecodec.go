@@ -3,25 +3,25 @@ package vipipe
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"strings"
 
 	"vipipe/internal/drc"
 	"vipipe/internal/mc"
-	"vipipe/internal/netlist"
 	"vipipe/internal/pipeline"
 	"vipipe/internal/power"
-	"vipipe/internal/stats"
 	"vipipe/internal/tmodel"
 	"vipipe/internal/variation"
 	"vipipe/internal/yield"
 )
 
 // DiskCodecs maps the flow's artifact nodes to the serializers a
-// pipeline.DiskStore needs. Only pure-data artifacts persist:
+// pipeline.DiskStore needs. Only pure-data artifacts persist, each
+// through encoding/gob as it stands; gob matches struct fields by name
+// and skips those a type no longer has, so artifacts an older build
+// wrote keep decoding:
 //
-//	mc/<pos>          *mc.Result       (via a DTO: FitErr is an interface)
+//	mc/<pos>          *mc.Result
 //	power/...         *power.Report
 //	ladder            []variation.Pos
 //	drc               *drc.Report
@@ -44,7 +44,7 @@ func DiskCodecs() pipeline.Codecs {
 		case nodeID == NodeDRC:
 			return gobPointer[drc.Report]{}
 		case strings.HasPrefix(nodeID, "mc/"):
-			return mcCodec{}
+			return gobPointer[mc.Result]{}
 		case strings.HasPrefix(nodeID, "power/"):
 			return gobPointer[power.Report]{}
 		// The surface prefix must match before the general field/
@@ -106,108 +106,4 @@ func gobBytes(v any) ([]byte, error) {
 		return nil, fmt.Errorf("vipipe: artifact encode: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-// mcCodec round-trips *mc.Result. A DTO stands in because
-// mc.StageDist carries its fit failure as an error interface value,
-// which gob cannot encode; the message string survives and is
-// restored as an opaque error.
-type mcCodec struct{}
-
-type mcResultDTO struct {
-	Pos                variation.Pos
-	ClockPS            float64
-	Samples            int
-	Requested          int
-	Skipped            []int
-	PerStage           map[netlist.Stage]stageDistDTO
-	CritPS             []float64
-	EndpointViolations map[int]int
-	StageCriticals     map[netlist.Stage]map[int]int
-}
-
-type stageDistDTO struct {
-	Stage     netlist.Stage
-	SlackPS   []float64
-	Fit       stats.Normal
-	GOF       stats.GOFResult
-	KS        stats.GOFResult
-	FitErr    string
-	ViolFrac  float64
-	ViolProb  float64
-	Endpoints int
-}
-
-func (mcCodec) Encode(v any) ([]byte, error) {
-	r, ok := v.(*mc.Result)
-	if !ok || r == nil {
-		return nil, fmt.Errorf("vipipe: artifact codec: got %T, want non-nil *mc.Result", v)
-	}
-	dto := mcResultDTO{
-		Pos:                r.Pos,
-		ClockPS:            r.ClockPS,
-		Samples:            r.Samples,
-		Requested:          r.Requested,
-		Skipped:            r.Skipped,
-		CritPS:             r.CritPS,
-		EndpointViolations: r.EndpointViolations,
-		StageCriticals:     r.StageCriticals,
-	}
-	if r.PerStage != nil {
-		dto.PerStage = make(map[netlist.Stage]stageDistDTO, len(r.PerStage))
-		for st, d := range r.PerStage {
-			sd := stageDistDTO{
-				Stage:     d.Stage,
-				SlackPS:   d.SlackPS,
-				Fit:       d.Fit,
-				GOF:       d.GOF,
-				KS:        d.KS,
-				ViolFrac:  d.ViolFrac,
-				ViolProb:  d.ViolProb,
-				Endpoints: d.Endpoints,
-			}
-			if d.FitErr != nil {
-				sd.FitErr = d.FitErr.Error()
-			}
-			dto.PerStage[st] = sd
-		}
-	}
-	return gobBytes(dto)
-}
-
-func (mcCodec) Decode(data []byte) (any, error) {
-	var dto mcResultDTO
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("vipipe: artifact decode: %w", err)
-	}
-	r := &mc.Result{
-		Pos:                dto.Pos,
-		ClockPS:            dto.ClockPS,
-		Samples:            dto.Samples,
-		Requested:          dto.Requested,
-		Skipped:            dto.Skipped,
-		CritPS:             dto.CritPS,
-		EndpointViolations: dto.EndpointViolations,
-		StageCriticals:     dto.StageCriticals,
-	}
-	if dto.PerStage != nil {
-		r.PerStage = make(map[netlist.Stage]*mc.StageDist, len(dto.PerStage))
-		for st, sd := range dto.PerStage {
-			d := &mc.StageDist{
-				Stage:     sd.Stage,
-				SlackPS:   sd.SlackPS,
-				Fit:       sd.Fit,
-				GOF:       sd.GOF,
-				KS:        sd.KS,
-				ViolFrac:  sd.ViolFrac,
-				ViolProb:  sd.ViolProb,
-				Endpoints: sd.Endpoints,
-			}
-			if sd.FitErr != "" {
-				d.FitErr = errors.New(sd.FitErr)
-			}
-			r.PerStage[st] = d
-		}
-	}
-	return r, nil
 }

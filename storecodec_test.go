@@ -1,7 +1,6 @@
 package vipipe
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -47,8 +46,10 @@ func roundTrip(t *testing.T, node string, v any) any {
 	return out
 }
 
-func TestMCResultRoundTrip(t *testing.T) {
-	in := &mc.Result{
+// mcResult is a characterization with every field set, one stage's
+// fit failed.
+func mcResult() *mc.Result {
+	return &mc.Result{
 		Pos:       variation.Pos{Name: "A", XMM: 1.5, YMM: 2.5},
 		ClockPS:   1234.5,
 		Samples:   118,
@@ -63,23 +64,77 @@ func TestMCResultRoundTrip(t *testing.T) {
 				KS:       stats.GOFResult{PValue: 0.4, Accepted: true},
 				ViolFrac: 0.33, ViolProb: 0.31, Endpoints: 42,
 			},
-			2: {Stage: 2, FitErr: errors.New("fit rejected: sigma collapsed")},
+			2: {Stage: 2, FitErr: "fit rejected: sigma collapsed"},
 		},
-		CritPS:             []float64{1200, 1250, 1300},
-		EndpointViolations: map[int]int{7: 3, 9: 1},
-		StageCriticals:     map[netlist.Stage]map[int]int{1: {7: 5}, 2: {9: 2}},
+		CritPS:         []float64{1200, 1250, 1300},
+		StageCriticals: map[netlist.Stage]map[int]int{1: {7: 5}, 2: {9: 2}},
 	}
+}
+
+func TestMCResultRoundTrip(t *testing.T) {
+	in := mcResult()
 	got := roundTrip(t, "mc/A", in).(*mc.Result)
-	if got.PerStage[2].FitErr == nil || got.PerStage[2].FitErr.Error() != "fit rejected: sigma collapsed" {
-		t.Fatalf("FitErr lost: %v", got.PerStage[2].FitErr)
-	}
-	if got.PerStage[1].FitErr != nil {
-		t.Fatalf("clean stage grew a FitErr: %v", got.PerStage[1].FitErr)
-	}
-	// Null the errors (compared above) and DeepEqual the rest.
-	in.PerStage[2].FitErr, got.PerStage[2].FitErr = nil, nil
 	if !reflect.DeepEqual(in, got) {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, got)
+	}
+}
+
+// TestMCResultDecodesOldArtifacts decodes an mc/<pos> artifact as
+// older builds wrote it, through a DTO that carried the fit error as
+// a string and a per-endpoint violation count, with today's codec:
+// gob matches fields by name, so the blob decodes to the same
+// *mc.Result and the count is skipped.
+func TestMCResultDecodesOldArtifacts(t *testing.T) {
+	type stageDistDTO struct {
+		Stage     netlist.Stage
+		SlackPS   []float64
+		Fit       stats.Normal
+		GOF       stats.GOFResult
+		KS        stats.GOFResult
+		FitErr    string
+		ViolFrac  float64
+		ViolProb  float64
+		Endpoints int
+	}
+	type mcResultDTO struct {
+		Pos                variation.Pos
+		ClockPS            float64
+		Samples            int
+		Requested          int
+		Skipped            []int
+		PerStage           map[netlist.Stage]stageDistDTO
+		CritPS             []float64
+		EndpointViolations map[int]int
+		StageCriticals     map[netlist.Stage]map[int]int
+	}
+	want := mcResult()
+	old := mcResultDTO{
+		Pos:                want.Pos,
+		ClockPS:            want.ClockPS,
+		Samples:            want.Samples,
+		Requested:          want.Requested,
+		Skipped:            want.Skipped,
+		PerStage:           make(map[netlist.Stage]stageDistDTO),
+		CritPS:             want.CritPS,
+		EndpointViolations: map[int]int{7: 3, 9: 1},
+		StageCriticals:     want.StageCriticals,
+	}
+	for st, d := range want.PerStage {
+		old.PerStage[st] = stageDistDTO{
+			Stage: d.Stage, SlackPS: d.SlackPS, Fit: d.Fit, GOF: d.GOF, KS: d.KS, FitErr: d.FitErr,
+			ViolFrac: d.ViolFrac, ViolProb: d.ViolProb, Endpoints: d.Endpoints,
+		}
+	}
+	blob, err := gobBytes(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DiskCodecs()("mc/A").Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old artifact decoded to %+v, want %+v", got, want)
 	}
 }
 
