@@ -44,9 +44,12 @@ shuffle:
 # the island search that re-runs one set of worker cores across its
 # checks) and the facade run under the race detector; this is what
 # validates the worker-drain guarantees of mc.Run and the graph's
-# concurrent node scheduling.
+# concurrent node scheduling. The graph scheduler's state (ready
+# queue, pending counts, results) is shared by its workers, so its
+# package runs ten times.
 race:
-	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield ./internal/variation ./internal/vi
+	$(GO) test -race -count=10 ./internal/pipeline
+	$(GO) test -race . ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel ./internal/sta ./internal/yield ./internal/variation ./internal/vi
 
 # The fault-injection suite: corrupted SDF/DEF/netlist/placement/region
 # artifacts must yield typed errors, never panics.

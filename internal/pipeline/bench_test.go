@@ -64,20 +64,66 @@ func openDisk(b *testing.B) *pipeline.DiskStore {
 	return ds
 }
 
-// BenchmarkGraphRequest is the scheduling overhead of one warm graph
-// Request: a node whose artifact is already in the memory store, so
-// the call is dependency resolution, one store hit and the span.
+// BenchmarkGraphRequest is the scheduling overhead of one graph
+// Request. warm: a node whose artifact is already in the memory
+// store, so the call is dependency resolution, one store hit and the
+// span. fanin: the shape of a field_edit op — 256 warm leaves, 4 cold
+// ones and one cold reduce over all 260 — with trivial computes, so
+// the call is the scheduling of 261 nodes, 256 store hits and the
+// reduce's 260-entry dependency map.
 func BenchmarkGraphRequest(b *testing.B) {
 	ctx := context.Background()
-	g := pipeline.New("bench", pipeline.NewMemStore())
-	g.MustAdd(pipeline.Node{ID: "noop", Compute: func(context.Context, map[string]any) (any, error) { return 1, nil }})
-	if _, err := g.RequestOne(ctx, "noop"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("warm", func(b *testing.B) {
+		g := pipeline.New("bench", pipeline.NewMemStore())
+		g.MustAdd(pipeline.Node{ID: "noop", Compute: func(context.Context, map[string]any) (any, error) { return 1, nil }})
 		if _, err := g.RequestOne(ctx, "noop"); err != nil {
 			b.Fatal(err)
 		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.RequestOne(ctx, "noop"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fanin", func(b *testing.B) {
+		store := coldStore{warm: pipeline.NewMemStore(), cold: map[string]bool{"bench/reduce": true}}
+		g := pipeline.New("bench", store)
+		leaves := make([]string, 260)
+		for i := range leaves {
+			leaves[i] = "leaf/" + strconv.Itoa(i)
+			if i >= 256 {
+				store.cold["bench/"+leaves[i]] = true
+			}
+			g.MustAdd(pipeline.Node{ID: leaves[i], Compute: func(context.Context, map[string]any) (any, error) { return i, nil }})
+		}
+		g.MustAdd(pipeline.Node{ID: "reduce", Deps: leaves, Compute: func(_ context.Context, deps map[string]any) (any, error) {
+			return len(deps), nil
+		}})
+		if _, err := g.RequestOne(ctx, "reduce"); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.RequestOne(ctx, "reduce"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// coldStore computes the keys in cold on every call, as re-keyed
+// nodes do, and serves the rest from warm.
+type coldStore struct {
+	warm *pipeline.MemStore
+	cold map[string]bool
+}
+
+func (s coldStore) Do(ctx context.Context, key string, compute func() (any, int64, error)) (any, error) {
+	if s.cold[key] {
+		v, _, err := compute()
+		return v, err
 	}
+	return s.warm.Do(ctx, key, compute)
 }

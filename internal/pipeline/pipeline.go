@@ -1,20 +1,17 @@
 // Package pipeline is the typed artifact-graph runtime behind the
 // flow: each step of the methodology is a node with a stable
 // content-addressed key, declared dependencies, and a compute
-// function. A Graph resolves requests for terminal artifacts by
-// walking the dependency closure and running every ready node
-// concurrently under a bounded worker pool — the four chip-position
-// characterizations and the per-strategy island generations schedule
-// in parallel for free — while a pluggable Store deduplicates and
-// caches computes across concurrent requests and, when the store is
-// shared, across graphs.
+// function. A Graph resolves a request for terminal artifacts in one
+// pass over their dependency closure: a fixed pool of workers takes
+// nodes from one ready queue, and a node joins the queue when its
+// last dependency settles — the four chip-position characterizations
+// and the per-strategy island generations run in parallel for free.
+// A pluggable Store deduplicates and caches computes across
+// concurrent requests and, when the store is shared, across graphs.
 //
-// The runtime replaces the three hand-rolled orchestrations the repo
-// grew before it (the imperative step-order bookkeeping in
-// vipipe.Flow, the bespoke recompute logic of the service engine, and
-// the per-tool sequences in cmd/): dependencies are edges, so "step X
-// before step Y" errors are subsumed by the graph just computing X
-// first, and a failure is reported naming the exact node that failed.
+// Dependencies are edges, so "step X before step Y" is the graph
+// computing X first, and a failure is reported naming the exact node
+// that failed.
 package pipeline
 
 import (
@@ -51,10 +48,10 @@ type Node struct {
 // Hook observes every node a request resolves. It fires once per
 // node, after the artifact is available, with the artifact, whether
 // it came out of the store without computing (cached), and how long
-// the node's compute ran (zero when cached). It runs on the scheduler
-// goroutine before dependents unblock — keep it cheap and never
-// mutate v: the same value is shared with every other consumer of the
-// store.
+// the node's compute ran (zero when cached). It runs on the worker
+// that resolved the node, before any dependent is released — keep it
+// cheap and never mutate v: the same value is shared with every other
+// consumer of the store.
 type Hook func(id string, v any, cached bool, compute time.Duration)
 
 // Graph is an immutable-after-construction artifact graph over a
@@ -74,8 +71,9 @@ type Option func(*Graph)
 // WithHook installs the node hook (e.g. the service's /metrics feed).
 func WithHook(h Hook) Option { return func(g *Graph) { g.hook = h } }
 
-// WithWorkers bounds the number of node computes running at once per
-// request. n <= 0 keeps the default (GOMAXPROCS).
+// WithWorkers sets the size of each request's worker pool: at most n
+// nodes resolve at once, on at most n goroutines. n <= 0 keeps the
+// default (GOMAXPROCS).
 //
 //lint:ignore deadcode TestCharacterizeCancelledMidRun and TestGraphWorkerBound need one worker, TestGraphRunsReadyNodesConcurrently four; production keeps GOMAXPROCS
 func WithWorkers(n int) Option {
@@ -147,30 +145,36 @@ func (g *Graph) RequestOne(ctx context.Context, id string) (any, error) {
 }
 
 // Request resolves the given artifacts, computing (or fetching from
-// the store) their full dependency closure. Ready nodes run
-// concurrently, bounded by the worker limit, each under its own child
-// context; the first failure cancels the outstanding nodes and is
+// the store) their full dependency closure. It schedules the closure
+// Kahn-style: min(workers, closure size) goroutines take ready nodes
+// from one queue, and a node is queued once its last dependency has
+// settled. The first failure cancels the outstanding nodes and is
 // returned wrapped with the failing node's ID (errors.Is still
-// matches the underlying flowerr class). The returned map holds every
-// node of the closure that completed — on error it carries the
-// partial results, so callers can report partial progress.
+// matches the underlying flowerr class); a node downstream of a
+// failure settles with that error, unwrapped, without running. The
+// returned map holds every node of the closure that completed — on
+// error it carries the partial results, so callers can report partial
+// progress.
 func (g *Graph) Request(ctx context.Context, ids ...string) (map[string]any, error) {
-	need := make(map[string]bool)
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r := &run{g: g, ctx: runCtx, cancel: cancel, index: make(map[string]int)}
 	var collect func(id string) error
 	collect = func(id string) error {
-		if need[id] {
+		if _, ok := r.index[id]; ok {
 			return nil
 		}
 		n, ok := g.nodes[id]
 		if !ok {
 			return flowerr.BadInputf("pipeline: unknown node %q", id)
 		}
-		need[id] = true
 		for _, d := range n.Deps {
 			if err := collect(d); err != nil {
 				return err
 			}
 		}
+		r.index[id] = len(r.nodes)
+		r.nodes = append(r.nodes, n)
 		return nil
 	}
 	for _, id := range ids {
@@ -179,147 +183,167 @@ func (g *Graph) Request(ctx context.Context, ids ...string) (map[string]any, err
 		}
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	r := &run{
-		results: make(map[string]any, len(need)),
-		errs:    make(map[string]error, len(need)),
-		done:    make(map[string]chan struct{}, len(need)),
-		cancel:  cancel,
+	r.slots = make([]slot, len(r.nodes))
+	r.left = len(r.nodes)
+	r.ready = make(chan int, len(r.nodes))
+	for i, n := range r.nodes {
+		r.slots[i].pending = len(n.Deps)
+		for _, d := range n.Deps {
+			j := r.index[d]
+			r.slots[j].dependents = append(r.slots[j].dependents, i)
+		}
+		if len(n.Deps) == 0 {
+			r.enqueue(i)
+		}
 	}
-	for id := range need {
-		r.done[id] = make(chan struct{})
-	}
-	sem := make(chan struct{}, g.workers)
-
 	var wg sync.WaitGroup
-	for id := range need {
+	for w := min(g.workers, len(r.nodes)); w > 0; w-- {
 		wg.Add(1)
-		go func(id string) {
+		go func() {
 			defer wg.Done()
-			g.runNode(runCtx, r, sem, id)
-		}(id)
+			for i := range r.ready {
+				r.runNode(i)
+			}
+		}()
 	}
 	wg.Wait()
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.results, r.firstErr
+	arts := make(map[string]any, len(r.nodes))
+	for i, n := range r.nodes {
+		if r.slots[i].err == nil {
+			arts[n.ID] = r.slots[i].v
+		}
+	}
+	return arts, r.firstErr
 }
 
-// run is the per-request scheduler state.
+// run is the per-request scheduler state. Nodes are indexed by their
+// position in the closure, which lists every node after its
+// dependencies.
 type run struct {
+	g      *Graph
+	ctx    context.Context
+	cancel context.CancelFunc
+	index  map[string]int
+	nodes  []*Node
+	slots  []slot
+	// ready holds one send per node at most, so a send never blocks.
+	ready chan int
+
 	mu       sync.Mutex
-	results  map[string]any
-	errs     map[string]error
+	left     int // nodes not yet settled; the last to settle closes ready
 	firstErr error
-	done     map[string]chan struct{}
-	cancel   context.CancelFunc
 }
 
-// fail records a node's error; the first failure recorded wins the
-// request error and cancels the outstanding siblings, whose
-// cancellation fallout then cannot displace it. Dependency failures
-// propagate the dependency's error unwrapped, so whichever node
-// records the root cause first, the request reports that cause.
-func (r *run) fail(id string, err error) {
+// slot is one closure node's scheduling state and outcome.
+type slot struct {
+	dependents []int
+	pending    int             // dependencies not yet settled
+	ctx        context.Context // the node span's context, set once ready
+	span       *obs.Span
+	v          any
+	err        error // set before the node runs when a dependency failed
+	// computed, size and dur record the store's call of Compute, if any.
+	computed bool
+	size     int64
+	dur      time.Duration
+}
+
+// enqueue queues a ready node. Unless a dependency failed, it opens
+// the node's span first: queue_wait_us runs from here until a worker
+// picks the node up.
+func (r *run) enqueue(i int) {
+	if s := &r.slots[i]; s.err == nil {
+		s.ctx, s.span = obs.Start(r.ctx, r.nodes[i].ID)
+	}
+	r.ready <- i
+}
+
+// settle records a node's outcome and releases its dependents,
+// queueing those it made ready. The first failure wins the request
+// error and cancels the outstanding nodes, whose cancellation fallout
+// then cannot displace it. A failure passes to the dependents
+// unwrapped, so every downstream node settles with the same root
+// cause, without running.
+func (r *run) settle(i int, v any, err error) {
+	var ready []int
 	r.mu.Lock()
-	r.errs[id] = err
-	if r.firstErr == nil {
+	s := &r.slots[i]
+	s.v, s.err = v, err
+	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 		r.cancel()
 	}
+	if r.left--; r.left == 0 {
+		close(r.ready)
+	}
+	for _, d := range s.dependents {
+		if err != nil {
+			r.slots[d].err = err
+		}
+		if r.slots[d].pending--; r.slots[d].pending == 0 {
+			ready = append(ready, d)
+		}
+	}
 	r.mu.Unlock()
+	for _, d := range ready {
+		r.enqueue(d)
+	}
 }
 
-// runNode waits for the node's dependencies, then computes through
-// the store under the worker bound.
-func (g *Graph) runNode(ctx context.Context, r *run, sem chan struct{}, id string) {
-	defer close(r.done[id])
-	n := g.nodes[id]
-
-	for _, d := range n.Deps {
-		select {
-		case <-r.done[d]:
-		case <-ctx.Done():
-			r.fail(id, flowerr.Cancelledf("pipeline: node %q: %w", id, ctx.Err()))
-			return
-		}
-	}
-	deps := make(map[string]any, len(n.Deps))
-	r.mu.Lock()
-	for _, d := range n.Deps {
-		if derr := r.errs[d]; derr != nil {
-			r.mu.Unlock()
-			// Propagate the dependency's failure unwrapped so every
-			// downstream node reports the same root cause.
-			r.fail(id, derr)
-			return
-		}
-		deps[d] = r.results[d]
-	}
-	r.mu.Unlock()
-
-	// One span per artifact node, opened once its dependencies are
-	// ready: queue_wait_us is the semaphore wait under the worker
-	// bound, the rest of the span is store lookup plus compute.
-	ctx, span := obs.Start(ctx, id)
-	defer span.End()
-	span.SetAttr("key", g.Key(id))
-
-	select {
-	case sem <- struct{}{}:
-		defer func() { <-sem }()
-	case <-ctx.Done():
-		span.SetAttr("cancelled", true)
-		r.fail(id, flowerr.Cancelledf("pipeline: node %q: %w", id, ctx.Err()))
+// runNode resolves a ready node through the store, runs the hook on
+// success, and settles it; a node whose dependency failed settles at
+// once.
+func (r *run) runNode(i int) {
+	n, s := r.nodes[i], &r.slots[i]
+	if s.err != nil {
+		r.settle(i, nil, s.err)
 		return
 	}
-	span.Lap("queue_wait_us")
-	if err := ctx.Err(); err != nil {
-		span.SetAttr("cancelled", true)
-		r.fail(id, flowerr.Cancelledf("pipeline: node %q: %w", id, err))
+	key := r.g.Key(n.ID)
+	s.span.SetAttr("key", key)
+	s.span.Lap("queue_wait_us")
+	if err := r.ctx.Err(); err != nil {
+		s.span.SetAttr("cancelled", true)
+		s.span.End()
+		r.settle(i, nil, flowerr.Cancelledf("pipeline: node %q: %w", n.ID, err))
 		return
 	}
 
-	nodeCtx, nodeCancel := context.WithCancel(ctx)
-	defer nodeCancel()
-	computed := false
-	var storedSize int64
-	var computeDur time.Duration
-	v, err := g.store.Do(ctx, g.Key(id), func() (any, int64, error) {
-		computed = true
+	v, err := r.g.store.Do(s.ctx, key, func() (any, int64, error) {
+		s.computed = true
+		deps := make(map[string]any, len(n.Deps))
+		for _, d := range n.Deps {
+			deps[d] = r.slots[r.index[d]].v
+		}
+		nodeCtx, nodeCancel := context.WithCancel(s.ctx)
+		defer nodeCancel()
 		t0 := obs.Now()
 		v, err := n.Compute(nodeCtx, deps)
 		if err != nil {
 			return nil, 0, err
 		}
-		computeDur = obs.Since(t0)
-		size := int64(1024)
+		s.dur = obs.Since(t0)
+		s.size = 1024
 		if n.Size != nil {
-			size = n.Size(v)
+			s.size = n.Size(v)
 		}
-		storedSize = size
-		return v, size, nil
+		return v, s.size, nil
 	})
-	if computed {
-		span.SetAttr("cache", "miss")
+	if s.computed {
+		s.span.SetAttr("cache", "miss")
 		// bytes annotates where the artifact was encoded/stored, so
 		// profiles can attribute store traffic per node kind.
-		span.SetAttr("bytes", storedSize)
+		s.span.SetAttr("bytes", s.size)
 	} else {
-		span.SetAttr("cache", "hit")
+		s.span.SetAttr("cache", "hit")
 	}
 	if err != nil {
-		span.SetAttr("error", flowerr.Class(err))
-		r.fail(id, fmt.Errorf("pipeline: node %q: %w", id, err))
-		return
+		s.span.SetAttr("error", flowerr.Class(err))
+		err = fmt.Errorf("pipeline: node %q: %w", n.ID, err)
+	} else if r.g.hook != nil {
+		r.g.hook(n.ID, v, !s.computed, s.dur)
 	}
-	if g.hook != nil {
-		g.hook(id, v, !computed, computeDur)
-	}
-	r.mu.Lock()
-	r.results[id] = v
-	r.mu.Unlock()
+	s.span.End()
+	r.settle(i, v, err)
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vipipe/internal/flowerr"
+	"vipipe/internal/obs"
 )
 
 // value node: returns a fixed string derived from its deps.
@@ -183,6 +185,156 @@ func TestGraphWorkerBound(t *testing.T) {
 	}
 	if got := maxInFlight.Load(); got != 1 {
 		t.Errorf("max concurrent computes = %d; want 1 under WithWorkers(1)", got)
+	}
+}
+
+// TestGraphGoroutinesBoundedByWorkers: a request starts no more
+// goroutines than it has workers, however wide its closure — here one
+// root, 998 leaves and a reduce over them under two workers.
+func TestGraphGoroutinesBoundedByWorkers(t *testing.T) {
+	g := New("t", NewMemStore(), WithWorkers(2))
+	base := int64(runtime.NumGoroutine())
+	var peak atomic.Int64
+	sample := func() {
+		n := int64(runtime.NumGoroutine()) - base
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				return
+			}
+		}
+	}
+	g.MustAdd(Node{ID: "root", Compute: func(context.Context, map[string]any) (any, error) {
+		sample()
+		return 0, nil
+	}})
+	var leaves []string
+	for i := 0; i < 998; i++ {
+		id := fmt.Sprintf("leaf/%d", i)
+		leaves = append(leaves, id)
+		g.MustAdd(Node{ID: id, Deps: []string{"root"}, Compute: func(_ context.Context, deps map[string]any) (any, error) {
+			sample()
+			return deps["root"].(int) + 1, nil
+		}})
+	}
+	g.MustAdd(Node{ID: "reduce", Deps: leaves, Compute: func(_ context.Context, deps map[string]any) (any, error) {
+		sample()
+		sum := 0
+		for _, v := range deps {
+			sum += v.(int)
+		}
+		return sum, nil
+	}})
+	sum, err := g.RequestOne(context.Background(), "reduce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != 998 {
+		t.Errorf("reduce = %v; want 998", sum)
+	}
+	if got := peak.Load(); got > 2 {
+		t.Errorf("a 1000-node request raised the goroutine count by %d; want at most 2 under WithWorkers(2)", got)
+	}
+}
+
+// TestGraphFailureMidClosure: a node failing mid-closure makes Request
+// return that root cause with the partial results. A node running
+// beside the failure sees its context cancelled; the nodes behind it,
+// which no worker had started, fail as cancelled or with the cause and
+// never compute; and no goroutine outlives Request.
+func TestGraphFailureMidClosure(t *testing.T) {
+	boom := flowerr.BadInputf("boom")
+	g := New("t", NewMemStore(), WithWorkers(2))
+	g.MustAdd(constNode("good"))
+	g.MustAdd(Node{ID: "bad", Deps: []string{"good"}, Compute: func(context.Context, map[string]any) (any, error) {
+		return nil, boom
+	}})
+	g.MustAdd(Node{ID: "busy", Deps: []string{"good"}, Compute: func(ctx context.Context, _ map[string]any) (any, error) {
+		<-ctx.Done() // released only by the cancellation bad causes
+		return "busy", nil
+	}})
+	var ran atomic.Int64
+	var late []string
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("late/%d", i)
+		late = append(late, id)
+		g.MustAdd(Node{ID: id, Deps: []string{"busy"}, Compute: func(context.Context, map[string]any) (any, error) {
+			ran.Add(1)
+			return id, nil
+		}})
+	}
+	g.MustAdd(constNode("reduce", append([]string{"bad"}, late...)...))
+
+	base := runtime.NumGoroutine()
+	tr := obs.NewTracer("run", "midfail")
+	arts, err := g.Request(obs.WithTracer(context.Background(), tr), "reduce")
+	if !errors.Is(err, boom) || !contains(err.Error(), `node "bad"`) {
+		t.Fatalf("err = %v; want the root cause from node \"bad\"", err)
+	}
+	if arts["good"] != "good" {
+		t.Errorf("partial results %v lack the completed dependency", arts)
+	}
+	for _, id := range append([]string{"bad", "reduce"}, late...) {
+		if _, ok := arts[id]; ok {
+			t.Errorf("failed node %q in the results", id)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d late nodes computed after the failure", n)
+	}
+	attrs := map[string]map[string]string{}
+	for _, s := range tr.Finish().Spans {
+		attrs[s.Name] = map[string]string{}
+		for _, a := range s.Attrs {
+			attrs[s.Name][a.Key] = a.Value
+		}
+	}
+	for _, id := range late {
+		if a, ok := attrs[id]; ok && a["cancelled"] != "true" {
+			t.Errorf("late node %q opened a span %v but did not fail as cancelled", id, a)
+		}
+	}
+	if _, ok := attrs["reduce"]; ok {
+		t.Error("reduce, failed by its dependency, opened a span")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Request (had %d before)", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestGraphHookBeforeDependents: a node's hook returns before any of
+// its dependents' computes starts, however many workers stand idle.
+func TestGraphHookBeforeDependents(t *testing.T) {
+	var hookDone atomic.Bool
+	g := New("t", NewMemStore(), WithWorkers(4), WithHook(func(id string, _ any, _ bool, _ time.Duration) {
+		if id == "a" {
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+			}
+			hookDone.Store(true)
+		}
+	}))
+	g.MustAdd(constNode("a"))
+	var early atomic.Int64
+	var ids []string
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("b/%d", i)
+		ids = append(ids, id)
+		g.MustAdd(Node{ID: id, Deps: []string{"a"}, Compute: func(context.Context, map[string]any) (any, error) {
+			if !hookDone.Load() {
+				early.Add(1)
+			}
+			return id, nil
+		}})
+	}
+	if _, err := g.Request(context.Background(), ids...); err != nil {
+		t.Fatal(err)
+	}
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d dependents computed before a's hook returned", n)
 	}
 }
 

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"vipipe/internal/flowerr"
 	"vipipe/internal/obs"
 )
 
@@ -116,6 +118,36 @@ func TestNodeSpansRecordHitAndMiss(t *testing.T) {
 		if counts[want] != 1 {
 			t.Errorf("cache attr %s seen %d times, want 1 (all: %v)", want, counts[want], counts)
 		}
+	}
+}
+
+// TestFailedDependencyOpensNoSpan: only the node that failed opens a
+// span (carrying its error class); the nodes downstream of it settle
+// with its error and open none.
+func TestFailedDependencyOpensNoSpan(t *testing.T) {
+	g := New("cfg", NewMemStore())
+	g.MustAdd(Node{ID: "bad", Compute: func(context.Context, map[string]any) (any, error) {
+		return nil, flowerr.NoScenariof("nothing violates")
+	}})
+	g.MustAdd(Node{ID: "mid", Deps: []string{"bad"}, Compute: func(context.Context, map[string]any) (any, error) { return 1, nil }})
+	g.MustAdd(Node{ID: "top", Deps: []string{"mid", "bad"}, Compute: func(context.Context, map[string]any) (any, error) { return 2, nil }})
+
+	tr := obs.NewTracer("run", "depfail")
+	if _, err := g.Request(obs.WithTracer(context.Background(), tr), "top"); !errors.Is(err, flowerr.ErrNoScenario) {
+		t.Fatalf("err = %v; want the dependency's ErrNoScenario", err)
+	}
+	spans := tr.Finish().Spans
+	if len(spans) != 1 || spans[0].Name != "bad" {
+		t.Fatalf("spans %+v; want only the failing node's", spans)
+	}
+	class := ""
+	for _, a := range spans[0].Attrs {
+		if a.Key == "error" {
+			class = a.Value
+		}
+	}
+	if class != "no-scenario" {
+		t.Errorf("bad's span error = %q; want no-scenario", class)
 	}
 }
 

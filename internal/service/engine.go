@@ -547,10 +547,13 @@ func (e *Engine) whatIf(ctx context.Context, r *resolved) (any, error) {
 // so two requests with the same plan share every shard, and a request
 // differing at one position recomputes only that position's shards.
 // Its hook adds shard accounting to observe's metrics: computed vs
-// cache-hit shard counters, and one shard event per shard for the job
-// progress and the live /events stream, carrying the position's
-// running median yield over the shards folded so far.
+// cache-hit shard counters and, when the context carries a
+// WithShardEvents sink (the daemon's jobs do), one shard event per
+// shard for the job progress and the live /events stream, carrying
+// the position's running median yield over the shards folded so far.
+// Without a sink nothing reads that fold, so it is skipped.
 func (e *Engine) fieldSweep(ctx context.Context, r *resolved) (any, error) {
+	sink := shardSink(ctx)
 	total := r.plan.NumShards()
 	var mu sync.Mutex
 	done := 0
@@ -566,6 +569,9 @@ func (e *Engine) fieldSweep(ctx context.Context, r *resolved) (any, error) {
 		} else {
 			e.m.Inc("yield.shards_computed")
 		}
+		if sink == nil {
+			return
+		}
 		mu.Lock()
 		done++
 		acc, seen := running[st.Key]
@@ -577,7 +583,7 @@ func (e *Engine) fieldSweep(ctx context.Context, r *resolved) (any, error) {
 		running[st.Key] = acc
 		// Report before unlocking: shards resolve concurrently, and
 		// their events must go out in Done order.
-		reportShard(ctx, ShardEvent{
+		sink(ShardEvent{
 			Pos:    st.Pos,
 			Shard:  shardIndex(id),
 			Cached: cached,

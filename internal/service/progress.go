@@ -25,9 +25,8 @@ func WithShardEvents(ctx context.Context, fn ShardFunc) context.Context {
 	return context.WithValue(ctx, shardKey{}, fn)
 }
 
-// reportShard delivers a shard event to the context's sink, if any.
-func reportShard(ctx context.Context, se ShardEvent) {
-	if fn, ok := ctx.Value(shardKey{}).(ShardFunc); ok && fn != nil {
-		fn(se)
-	}
+// shardSink returns the context's shard-event sink, nil when none.
+func shardSink(ctx context.Context) ShardFunc {
+	fn, _ := ctx.Value(shardKey{}).(ShardFunc)
+	return fn
 }

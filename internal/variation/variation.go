@@ -46,8 +46,20 @@ type Model struct {
 // Lgate, 5.5% systematic range, 6.5% random 3-sigma, a 28mm exposure
 // field and a 14mm chip, and a polynomial whose gradient runs along
 // the chip diagonal (Fig. 2: slowest in the lower-left corner).
-func Default() Model {
-	m := Model{
+func Default() Model { return defaultModel }
+
+// defaultModel is normalized once: normalize scans the polynomial over
+// a 141x141 grid, and every config built from a spec starts from
+// Default.
+var defaultModel = func() Model {
+	m := rawDefault()
+	m.normalize()
+	return m
+}()
+
+// rawDefault is Default before normalization.
+func rawDefault() Model {
+	return Model{
 		FieldMM: 28,
 		ChipMM:  14,
 		LnomNM:  65,
@@ -58,8 +70,6 @@ func Default() Model {
 		// matching the measured maps in Cain's data and Fig. 2.
 		A: 0.15, B: 0.12, C: -1.10, D: -1.05, E: 0.18, K: 0,
 	}
-	m.normalize()
-	return m
 }
 
 // normalize affinely rescales the polynomial so that it spans exactly

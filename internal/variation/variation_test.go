@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -32,6 +33,27 @@ func TestSystematicRangeIsCalibrated(t *testing.T) {
 	}
 	if math.Abs(lo+0.055) > 0.002 {
 		t.Errorf("min systematic %g, want ~-0.055", lo)
+	}
+}
+
+// TestDefaultMatchesFreshNormalize: Default hands out a copy of the
+// model normalized at package init that is bit for bit a freshly
+// normalized one, and a caller editing its copy leaves the next
+// caller's alone.
+func TestDefaultMatchesFreshNormalize(t *testing.T) {
+	fresh := rawDefault()
+	fresh.normalize()
+	got := Default()
+	gv, fv := reflect.ValueOf(got), reflect.ValueOf(fresh)
+	for i := 0; i < gv.NumField(); i++ {
+		g, f := math.Float64bits(gv.Field(i).Float()), math.Float64bits(fv.Field(i).Float())
+		if g != f {
+			t.Errorf("Default().%s bits %#x, fresh normalize %#x", gv.Type().Field(i).Name, g, f)
+		}
+	}
+	got.A = 42
+	if Default().A == 42 {
+		t.Error("editing one Default() copy changed the next")
 	}
 }
 

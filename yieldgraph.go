@@ -2,7 +2,7 @@ package vipipe
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/pipeline"
@@ -19,7 +19,7 @@ import (
 // [a-zA-Z0-9._-], or shards silently stop persisting (Put is
 // best-effort); TestYieldShardsPersistToDisk pins this.
 func NodeFieldShard(pos, key string, shard int) string {
-	return fmt.Sprintf("field/%s-%s/%d", pos, key, shard)
+	return "field/" + pos + "-" + key + "/" + strconv.Itoa(shard)
 }
 
 // NodeFieldSurface returns the ID of a plan's reduce node (artifact
@@ -85,27 +85,27 @@ func NewYieldGraph(cfg Config, plan yield.Plan, store pipeline.Store, opts ...pi
 		}
 	}
 
-	surfaceID := NodeFieldSurface(plan.Hash())
+	planHash := plan.Hash()
+	surfaceID := NodeFieldSurface(planHash)
 	g.MustAdd(pipeline.Node{
 		ID:   surfaceID,
-		Deps: append(append([]string{}, shardIDs...), NodeAnalyze),
+		Deps: append(shardIDs[:len(shardIDs):len(shardIDs)], NodeAnalyze),
 		Compute: func(ctx context.Context, deps map[string]any) (any, error) {
 			if err := ctxErr(ctx, surfaceID); err != nil {
 				return nil, err
 			}
 			tm := deps[NodeAnalyze].(*Timing)
-			// Index the dep map by reconstructed IDs so the fold order
-			// is the plan's row-major position order, never map order.
+			// Read the dep map through shardIDs, which lists the shards
+			// in the plan's row-major position order, never map order.
 			perPos := make([][]*yield.ShardStat, len(positions))
-			for pi, pos := range positions {
-				key := plan.PosKey(pos)
+			for pi := range positions {
 				group := make([]*yield.ShardStat, plan.Shards)
-				for s := 0; s < plan.Shards; s++ {
-					group[s] = deps[NodeFieldShard(pos.Name, key, s)].(*yield.ShardStat)
+				for s, id := range shardIDs[pi*plan.Shards : (pi+1)*plan.Shards] {
+					group[s] = deps[id].(*yield.ShardStat)
 				}
 				perPos[pi] = group
 			}
-			return yield.BuildSurface(plan.Hash(), tm.ClockPS, plan.Grid, positions,
+			return yield.BuildSurface(planHash, tm.ClockPS, plan.Grid, positions,
 				plan.Axis.Resolve(tm.ClockPS), perPos)
 		},
 		Size: func(v any) int64 {
