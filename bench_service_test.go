@@ -2,6 +2,7 @@ package vipipe_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +16,18 @@ import (
 	"vipipe/internal/vi"
 )
 
+// scenarioSweepRequest is the Fig. 5 A-D scenario sweep that
+// BenchmarkServiceScenarioSweep times and
+// TestScenarioSweepWarmRecomputesNothing counts.
+var scenarioSweepRequest = service.Request{
+	Kind:     "sweep",
+	Strategy: "vertical",
+	Config: service.ConfigSpec{
+		Small: true, Seed: 1,
+		MCSamples: 60, VISamples: 24, FIRSamples: 8, FIRTaps: 4,
+	},
+}
+
 // BenchmarkServiceScenarioSweep measures the service engine's A-D
 // scenario sweep cold (fresh cache each iteration: full synthesize +
 // place + analyze + 4x Monte Carlo) against cache-warm (one engine,
@@ -25,14 +38,7 @@ import (
 // the root vipipe package, so an in-package benchmark would be an
 // import cycle.
 func BenchmarkServiceScenarioSweep(b *testing.B) {
-	req := service.Request{
-		Kind:     "sweep",
-		Strategy: "vertical",
-		Config: service.ConfigSpec{
-			Small: true, Seed: 1,
-			MCSamples: 60, VISamples: 24, FIRSamples: 8, FIRTaps: 4,
-		},
-	}
+	req := scenarioSweepRequest
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
@@ -59,6 +65,57 @@ func BenchmarkServiceScenarioSweep(b *testing.B) {
 		st := eng.Cache().Stats()
 		b.ReportMetric(st.HitRate(), "cache_hit_rate")
 	})
+}
+
+// TestScenarioSweepWarmRecomputesNothing holds the warm path of
+// BenchmarkServiceScenarioSweep by counts, not by its cold/warm ratio,
+// which tracks the host. A cold sweep computes each of its 18 nodes
+// once (synth, place, analyze, workload, mc/A-D, ladder, vi/vertical,
+// and a scenario and a chip-wide power report per position) and hits
+// the 9 that its second graph request re-reads from its first. An
+// identical warm sweep computes nothing: no artifact.* latency sample,
+// 27 more artifact_hits.* and no new cache miss.
+func TestScenarioSweepWarmRecomputesNothing(t *testing.T) {
+	m := service.NewMetrics()
+	eng := service.NewEngine(service.NewCache(64<<20), m)
+	sweep := func() {
+		if _, err := eng.Run(context.Background(), scenarioSweepRequest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// counts reads the nodes with an artifact.* latency histogram, the
+	// samples in them (one per compute) and the artifact_hits.* total.
+	counts := func() (nodes int, computes, hits int64) {
+		snap := m.Snapshot(nil, nil)
+		for step, h := range snap.Latency {
+			if strings.HasPrefix(step, "artifact.") {
+				nodes++
+				computes += h.Count
+			}
+		}
+		for name, n := range snap.Counters {
+			if strings.HasPrefix(name, "artifact_hits.") {
+				hits += n
+			}
+		}
+		return nodes, computes, hits
+	}
+
+	sweep()
+	nodes, computes, hits := counts()
+	if nodes != 18 || computes != 18 || hits != 9 {
+		t.Fatalf("cold sweep computed %d nodes %d times and hit %d, want 18 nodes once each and 9 hits", nodes, computes, hits)
+	}
+	misses := eng.Cache().Stats().Misses
+
+	sweep()
+	_, warmComputes, warmHits := counts()
+	if warmComputes != computes || warmHits-hits != 27 {
+		t.Errorf("warm sweep computed %d nodes and hit %d, want 0 and 27", warmComputes-computes, warmHits-hits)
+	}
+	if got := eng.Cache().Stats().Misses; got != misses {
+		t.Errorf("warm sweep missed the cache %d times, want 0", got-misses)
+	}
 }
 
 // BenchmarkFieldSweep sizes the exposure-field yield engine against
@@ -298,6 +355,39 @@ func TestWhatIfSpeedup(t *testing.T) {
 
 	if exact < 50*warm {
 		t.Fatalf("composed what-if %v not ≥50x faster than full STA %v", warm, exact)
+	}
+}
+
+// TestWhatIfComposedAllocs holds the composed what-if path by its
+// allocations, which the host cannot move, beside TestWhatIfSpeedup's
+// timing bound: on the fixture's model a raise+shifters query
+// allocates at most 4 times per Eval and an in-domain overlay query at
+// most 5, and neither is answered by exact STA. One allocation more
+// means the composed path grew per-query work, such as a copied slice
+// or a hidden cell walk.
+func TestWhatIfComposedAllocs(t *testing.T) {
+	x := newWhatIfFixture(t)
+	raise, overlay, _ := x.whatIfQueries()
+	for _, c := range []struct {
+		name      string
+		q         tmodel.Query
+		maxAllocs float64
+	}{{"raise", raise, 4}, {"overlay", overlay, 5}} {
+		ans, err := x.m.Eval(c.q)
+		if err != nil {
+			t.Fatalf("%s query: %v", c.name, err)
+		}
+		if ans.Exact {
+			t.Errorf("%s query answered by exact STA, want composed", c.name)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := x.m.Eval(c.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.maxAllocs {
+			t.Errorf("%s query allocates %v times per Eval, want at most %v", c.name, allocs, c.maxAllocs)
+		}
 	}
 }
 

@@ -99,11 +99,10 @@ func NewGraph(cfg Config, store pipeline.Store, opts ...pipeline.Option) *pipeli
 	return newGraph(cfg, cell.Default65nm(), store, opts...)
 }
 
-// newGraph is NewGraph with an explicit library, so Flow can share
-// one library instance between its fields and its graph.
-func newGraph(cfg Config, lib *cell.Library, store pipeline.Store, opts ...pipeline.Option) *pipeline.Graph {
+// newBaselineGraph returns a graph holding the baseline nodes every
+// flow builds on: synth, place and analyze, keyed by cfg.Hash().
+func newBaselineGraph(cfg Config, lib *cell.Library, store pipeline.Store, opts ...pipeline.Option) *pipeline.Graph {
 	g := pipeline.New(cfg.Hash(), store, opts...)
-	positions := cfg.Model.DiagonalPositions()
 
 	g.MustAdd(pipeline.Node{
 		ID: NodeSynth,
@@ -157,6 +156,14 @@ func newGraph(cfg Config, lib *cell.Library, store pipeline.Store, opts ...pipel
 		},
 		Size: func(v any) int64 { return int64(len(v.(*Timing).Derate))*200 + 4096 },
 	})
+	return g
+}
+
+// newGraph is NewGraph with an explicit library, so Flow can share
+// one library instance between its fields and its graph.
+func newGraph(cfg Config, lib *cell.Library, store pipeline.Store, opts ...pipeline.Option) *pipeline.Graph {
+	g := newBaselineGraph(cfg, lib, store, opts...)
+	positions := cfg.Model.DiagonalPositions()
 
 	g.MustAdd(pipeline.Node{
 		ID:   NodeWorkload,

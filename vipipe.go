@@ -369,21 +369,6 @@ func (f *Flow) TimingModel(ctx context.Context, strategy vi.Strategy, pos variat
 	return arts[id].(*tmodel.Model), nil
 }
 
-// WhatIf answers a what-if query against the cached timing model,
-// falling back to one exact STA evaluation when the query leaves the
-// model's validity domain (see EvalWhatIf).
-func (f *Flow) WhatIf(ctx context.Context, strategy vi.Strategy, pos variation.Pos, q tmodel.Query) (tmodel.Answer, error) {
-	id := NodeTimingModel(strategy, pos.Name)
-	arts, err := f.request(ctx, id, NodeAnalyze, NodeIslands(strategy))
-	if err != nil {
-		return tmodel.Answer{}, err
-	}
-	return EvalWhatIf(f.Cfg,
-		arts[NodeAnalyze].(*Timing),
-		arts[NodeIslands(strategy)].(*vi.Partition),
-		arts[id].(*tmodel.Model), pos, q)
-}
-
 // InsertShifters splices the partition's level shifters into the
 // netlist, extends the placement and the derate vector, and refreshes
 // the timing engine. It returns the shifter count and the critical-
@@ -514,26 +499,15 @@ func (f *Flow) ChipWidePower(pos variation.Pos) (*power.Report, error) {
 // violation otherwise. part may be nil. Run it between steps to catch
 // corrupted state before it reaches a hot loop.
 func (f *Flow) Check(part *vi.Partition) error {
-	rep, err := f.CheckReport(part)
-	if err != nil {
-		return err
-	}
-	return rep.Err()
-}
-
-// CheckReport runs the same design-rule battery as Check but returns
-// the full report, so service frontends can serialize the violation
-// list instead of flattening it into an error string.
-func (f *Flow) CheckReport(part *vi.Partition) (*drc.Report, error) {
 	if f.NL == nil {
-		return nil, flowerr.StepOrderf("vipipe: Check needs a netlist — run Synthesize first")
+		return flowerr.StepOrderf("vipipe: Check needs a netlist — run Synthesize first")
 	}
 	in := drc.Inputs{NL: f.NL, PL: f.PL, Derate: f.Derate}
 	if part != nil {
 		in.Region = part.Region
 		in.ShiftersInserted = len(part.Shifters) > 0
 	}
-	return drc.Check(in), nil
+	return drc.Check(in).Err()
 }
 
 // Run executes the standard sequence through Characterize: one graph

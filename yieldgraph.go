@@ -26,13 +26,14 @@ func NodeFieldShard(pos, key string, shard int) string {
 // *yield.Surface).
 func NodeFieldSurface(planHash string) string { return "field/surface/" + planHash }
 
-// NewYieldGraph extends the flow graph with a field sweep: one shard
-// node per (position, shard) over the plan, all hanging off
-// NodeAnalyze, and a surface node folding every shard in row-major
-// position order. The baseline nodes are keyed by cfg.Hash() exactly
-// as NewGraph keys them, so sweeps share synth/place/analyze artifacts
-// with every other flow over the store; only the field/* nodes carry
-// plan-derived keys. It returns the graph and the surface node's ID.
+// NewYieldGraph builds the graph of a field sweep: the baseline nodes
+// synth, place and analyze, one shard node per (position, shard) over
+// the plan, all hanging off NodeAnalyze, and a surface node folding
+// every shard in row-major position order. It holds no other flow
+// node. The baseline nodes are keyed by cfg.Hash() exactly as NewGraph
+// keys them, so sweeps share their artifacts with every other flow
+// over the store; only the field/* nodes carry plan-derived keys. It
+// returns the graph and the surface node's ID.
 func NewYieldGraph(cfg Config, plan yield.Plan, store pipeline.Store, opts ...pipeline.Option) (*pipeline.Graph, string, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, "", err
@@ -43,7 +44,7 @@ func NewYieldGraph(cfg Config, plan yield.Plan, store pipeline.Store, opts ...pi
 	}
 	plan.Positions = positions
 
-	g := newGraph(cfg, cell.Default65nm(), store, opts...)
+	g := newBaselineGraph(cfg, cell.Default65nm(), store, opts...)
 
 	shardIDs := make([]string, 0, len(positions)*plan.Shards)
 	for _, pos := range positions {

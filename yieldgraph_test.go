@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"vipipe/internal/flowerr"
 	"vipipe/internal/mc"
 	"vipipe/internal/obs"
 	"vipipe/internal/pipeline"
@@ -136,6 +138,28 @@ func TestYieldShardsPersistToDisk(t *testing.T) {
 		if _, _, ok := disk.Get(ctx, g.Key(id)); !ok {
 			t.Errorf("artifact %s missing from disk store", id)
 		}
+	}
+}
+
+// TestYieldGraphHoldsOnlyItsSweep pins what a field sweep's graph
+// holds: the baseline nodes and its field/* nodes, none of the flow
+// nodes a sweep never reads. Requesting a Monte Carlo characterization
+// from it fails as bad input, before anything computes.
+func TestYieldGraphHoldsOnlyItsSweep(t *testing.T) {
+	cfg := TestConfig()
+	plan := yield.Plan{
+		Grid:    yield.Grid{NX: 1, NY: 1},
+		Samples: cfg.MCSamples,
+		Shards:  1,
+		Seed:    cfg.Seed,
+		Axis:    yield.CurveAxis{Points: 5},
+	}
+	g, _, err := NewYieldGraph(cfg, plan, pipeline.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Request(context.Background(), NodeMC("A")); !errors.Is(err, flowerr.ErrBadInput) {
+		t.Fatalf("requesting %s from a yield graph: err = %v, want bad input", NodeMC("A"), err)
 	}
 }
 
